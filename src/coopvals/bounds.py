@@ -40,10 +40,10 @@ from .errors import (
     UnknownBoundFunctional,
 )
 from .game import (
-    Allocation,
     TUGame,
     coalition_total,
     individual_worths,
+    marginal_contributions,
     subtract_allocation,
     transform,
 )
@@ -56,6 +56,7 @@ __all__ = [
     "BoundPairReport",
     "MembershipReport",
     "REGISTRY",
+    "MU_FROM_MILNOR",
     "functional",
     "evaluate_bound",
     "marginal_contributions",
@@ -69,9 +70,11 @@ __all__ = [
     "eansc_tilde_lower",
     "eta_from_lower",
     "mu_from_upper",
+    "mu_from_upper_vector",
     "derived_lower_from_upper",
     "derived_upper_from_lower",
     "constant_lower",
+    "first_difference",
     "check_bound_pair",
     "is_regular_lower",
     "check_translation_covariance",
@@ -80,12 +83,6 @@ __all__ = [
 ]
 
 BoundVector = Tuple[Fraction, ...]
-
-
-def marginal_contributions(v: TUGame) -> BoundVector:
-    """M_i(v) = v(N) - v(N-i)."""
-    full, vN = v.grand, v.total
-    return tuple(vN - v.worths[full ^ (1 << i)] for i in range(v.n))
 
 
 def kikuta_lower(v: TUGame) -> BoundVector:
@@ -144,12 +141,7 @@ def eansc_tilde_lower(v: TUGame) -> BoundVector:
         raise TooFewPlayers("the EANSC tilde lower bound needs n >= 2")
     M = marginal_contributions(v)
     residual = (v.total - sum(M)) / (v.n - 1)
-    mu = tuple(M_i + residual for M_i in M)
-    full, vN = v.grand, v.total
-    for i in range(v.n):
-        if sum(mu) - mu[i] != v.worths[full ^ (1 << i)]:
-            raise CoopvalsError("tilde lower bound failed its defining system")
-    return mu
+    return tuple(M_i + residual for M_i in M)
 
 
 def eta_from_lower(v: TUGame, mu: Sequence[Fraction]) -> BoundVector:
@@ -162,7 +154,8 @@ def eta_from_lower(v: TUGame, mu: Sequence[Fraction]) -> BoundVector:
     return tuple(vN - (total - mu_i) for mu_i in mu)
 
 
-def _mu_from_upper_vector(v: TUGame, eta: BoundVector) -> BoundVector:
+def mu_from_upper_vector(v: TUGame, eta: Sequence[Fraction]) -> BoundVector:
+    """mu^eta for an already evaluated upper bound vector eta."""
     W = v.worths
     out = []
     for i in range(v.n):
@@ -194,12 +187,12 @@ def mu_from_upper(v: TUGame, eta_id: Union[str, "BoundFunctional"]) -> BoundVect
         raise NonCovariantUpperBound(
             f"{fn.id} is not translation covariant; cannot derive a lower bound"
         )
-    return _mu_from_upper_vector(v, fn.evaluate(v))
+    return mu_from_upper_vector(v, fn.evaluate(v))
 
 
 def minimal_rights(v: TUGame) -> BoundVector:
     """The minimal rights vector: mu_from_upper with the marginal vector."""
-    return _mu_from_upper_vector(v, marginal_contributions(v))
+    return mu_from_upper_vector(v, marginal_contributions(v))
 
 
 @dataclass(frozen=True)
@@ -251,7 +244,7 @@ def derived_lower_from_upper(eta_id: Union[str, BoundFunctional]) -> BoundFuncti
         )
     return BoundFunctional(
         id=f"MuFrom({fn.id})",
-        evaluate=lambda v: _mu_from_upper_vector(v, fn.evaluate(v)),
+        evaluate=lambda v: mu_from_upper_vector(v, fn.evaluate(v)),
         is_translation_covariant=True,
         is_regular_lower=True,
     )
@@ -288,6 +281,11 @@ def evaluate_bound(v: TUGame, fn_id: Union[str, BoundFunctional]) -> BoundVector
     return functional(fn_id).evaluate(v)
 
 
+# mu^eta for the Milnor bound: the lower side of the chi pair.  Kept out of
+# REGISTRY, which the verification suite walks row by row.
+MU_FROM_MILNOR = derived_lower_from_upper("MilnorUpper")
+
+
 @dataclass(frozen=True)
 class Witness:
     """A concrete violation: the first differing component and both sides."""
@@ -312,7 +310,10 @@ class CheckOutcome:
             raise CoopvalsError("a failing check must carry a witness")
 
 
-def _first_difference(lhs: BoundVector, rhs: BoundVector) -> Witness | None:
+def first_difference(
+    lhs: Sequence[Fraction], rhs: Sequence[Fraction]
+) -> Witness | None:
+    """The first component where lhs and rhs differ, or None if they agree."""
     for i, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:
             return Witness(i, tuple(lhs), tuple(rhs))
@@ -363,8 +364,8 @@ def check_bound_pair(
         if mu[i] > eta[i]:
             witness_i = Witness(i, mu, eta)
             break
-    witness_iia = _first_difference(mu_shift, zero)
-    witness_iib = _first_difference(eta_shift, diff)
+    witness_iia = first_difference(mu_shift, zero)
+    witness_iib = first_difference(eta_shift, diff)
     return BoundPairReport(
         mu_id=mu_fn.id,
         eta_id=eta_fn.id,
@@ -387,7 +388,7 @@ def is_regular_lower(
         raise NotInClass(f"B_l({fn.id})")
     shifted_mu = fn.evaluate(subtract_allocation(v, mu))
     zero = (Fraction(0),) * v.n
-    witness = _first_difference(shifted_mu, zero)
+    witness = first_difference(shifted_mu, zero)
     return CheckOutcome(
         check_id=f"regular_lower:{fn.id}",
         passed=witness is None,
@@ -405,7 +406,7 @@ def check_translation_covariance(
     x = tuple(Fraction(c) for c in x)
     lhs = fn.evaluate(transform(v, 1, x))
     rhs = tuple(a + b for a, b in zip(fn.evaluate(v), x))
-    witness = _first_difference(lhs, rhs)
+    witness = first_difference(lhs, rhs)
     return CheckOutcome(
         check_id=f"translation_covariance:{fn.id}",
         passed=witness is None,
@@ -451,7 +452,7 @@ def membership(
     in_balanced = in_lower and vN <= sum(eta)
     in_strong = is_strongly_upper_bounded(v, eta)
     if eta_fn.is_translation_covariant:
-        derived = _mu_from_upper_vector(v, eta)
+        derived = mu_from_upper_vector(v, eta)
         in_proper: bool | None = in_strong and sum(derived) <= vN
     else:
         in_proper = None

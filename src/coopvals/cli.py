@@ -4,12 +4,13 @@
     coopvals compute --game g.json --value tau [--format table|json]
     coopvals bounds  --game g.json --pair km [--format table|json]
     coopvals check   (--game g.json | --sample) [--seed N] [--count N]
-                     [--n N] [--filter CLASS] [--suite] [--format table|json]
+                     [--n N] [--filter CLASS] [--format table|json]
     coopvals sample  [--seed N] [--count N] [--n N] [--filter CLASS]
                      [--format table|json]
 
 Exit codes: 0 success, 1 domain error (game outside a value's class, player
-cap exceeded, failing check suite), 2 parse error or unreadable input.
+cap exceeded, failing check suite), 2 parse error, unreadable input, or an
+invalid sampler flag or COOPVALS_MAX_PLAYERS setting.
 Rationals are printed as p/q strings; table mode adds decimal
 approximations.  All JSON output is byte-deterministic for a fixed input
 and seed.
@@ -23,14 +24,14 @@ import sys
 from dataclasses import asdict
 
 from . import bounds, values, verify
-from .errors import DomainError, ParseError
+from .errors import CoopvalsError, DomainError
 from .game import classify
 from .gamefile import game_doc, parse_game_file
 
 PAIR_MAP = {
     "km": ("KikutaLower", "MilnorUpper"),
     "tau": ("MinimalRights", "MarginalContributions"),
-    "chi": (bounds.derived_lower_from_upper("MilnorUpper"), "MilnorUpper"),
+    "chi": (bounds.MU_FROM_MILNOR, "MilnorUpper"),
     "cis": ("IndividualWorths", "EtaPrime"),
     "gately": ("IndividualWorths", "MarginalContributions"),
     "eansc": ("EanscTildeLower", "MarginalContributions"),
@@ -273,10 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--sample", action="store_true", help="check seeded random games"
     )
-    p.add_argument(
-        "--suite", action="store_true",
-        help="run the full suite (the default and only mode)",
-    )
     _add_sampler_flags(p, default_count=100)
     _add_format(p)
     p.set_defaults(func=cmd_check)
@@ -293,15 +290,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DomainError as exc:
         print(str(exc))
         return 1
+    except (CoopvalsError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ __all__ = [
     "worth",
     "dual",
     "individual_worths",
+    "marginal_contributions",
     "zero_normalise",
     "transform",
     "subtract_allocation",
@@ -244,6 +245,12 @@ def individual_worths(v: TUGame) -> Allocation:
     return tuple(v.worths[1 << i] for i in range(v.n))
 
 
+def marginal_contributions(v: TUGame) -> Allocation:
+    """M_i(v) = v(N) - v(N-i)."""
+    full, vN = v.grand, v.total
+    return tuple(vN - v.worths[full ^ (1 << i)] for i in range(v.n))
+
+
 def zero_normalise(v: TUGame) -> TUGame:
     """Subtract each member's singleton worth from every coalition."""
     return subtract_allocation(v, individual_worths(v))
@@ -298,12 +305,6 @@ def unanimity_game(n: int, T: int) -> TUGame:
     return TUGame(n, table)
 
 
-def _marginals(v: TUGame) -> Allocation:
-    full = v.grand
-    vN = v.total
-    return tuple(vN - v.worths[full ^ (1 << i)] for i in range(v.n))
-
-
 def classify(v: TUGame) -> ClassReport:
     """Evaluate all structural class predicates by direct enumeration.
 
@@ -355,7 +356,7 @@ def classify(v: TUGame) -> ClassReport:
             if not convex:
                 break
 
-    M = _marginals(v)
+    M = marginal_contributions(v)
     vN = v.total
     sum_nu = sum(individual_worths(v))
     sum_M = sum(M)

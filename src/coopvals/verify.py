@@ -21,12 +21,12 @@ never as silently passed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Any, Callable, Iterable, Sequence, Tuple
 
 from . import bounds, values
-from .bounds import BoundVector, CheckOutcome, Witness, functional
+from .bounds import BoundVector, CheckOutcome, Witness, first_difference, functional
 from .errors import (
     CoopvalsError,
     DomainError,
@@ -43,7 +43,6 @@ from .game import (
     player_cap,
     subtract_allocation,
     transform,
-    unanimity_game,
     zero_normalise,
 )
 
@@ -99,13 +98,6 @@ def _outcome(check_id: str, witness: Witness | None) -> CheckOutcome:
     return CheckOutcome(check_id=check_id, passed=witness is None, witness=witness)
 
 
-def _vector_witness(lhs: Sequence[Fraction], rhs: Sequence[Fraction]) -> Witness | None:
-    for i, (a, b) in enumerate(zip(lhs, rhs)):
-        if a != b:
-            return Witness(i, tuple(lhs), tuple(rhs))
-    return None
-
-
 def check_axiom(
     axiom_id: str,
     value_id: str,
@@ -138,7 +130,7 @@ def check_axiom(
                 f"shifted game leaves the class of {value_id}: {exc}"
             ) from None
         rhs = tuple(a + b for a, b in zip(inner.allocation, mu))
-        return _outcome(check_id, _vector_witness(result.allocation, rhs))
+        return _outcome(check_id, first_difference(result.allocation, rhs))
 
     if axiom_id == "RestrictedProportionality":
         mu = _pair_lower(value_id, v)
@@ -149,7 +141,7 @@ def check_axiom(
         s_alloc, s_eta = sum(alloc), sum(eta)
         lhs = tuple(a * s_eta for a in alloc)
         rhs = tuple(s_alloc * e for e in eta)
-        return _outcome(check_id, _vector_witness(lhs, rhs))
+        return _outcome(check_id, first_difference(lhs, rhs))
 
     if axiom_id == "EgalitarianDivision":
         mu = _pair_lower(value_id, v)
@@ -157,7 +149,7 @@ def check_axiom(
             raise PreconditionNotMet(f"mu(v) != 0 for {value_id}")
         alloc = f(v).allocation
         rhs = (alloc[0],) * v.n
-        return _outcome(check_id, _vector_witness(alloc, rhs))
+        return _outcome(check_id, first_difference(alloc, rhs))
 
     if axiom_id == "Covariance":
         scale, shift = probe if probe is not None else _default_probe(v.n)
@@ -171,7 +163,7 @@ def check_axiom(
                 f"transformed game leaves the class of {value_id}: {exc}"
             ) from None
         rhs = tuple(scale * a + x for a, x in zip(base.allocation, shift))
-        return _outcome(check_id, _vector_witness(moved.allocation, rhs))
+        return _outcome(check_id, first_difference(moved.allocation, rhs))
 
     if axiom_id == "SelfDuality":
         base = f(v)
@@ -181,7 +173,7 @@ def check_axiom(
             raise PreconditionNotMet(
                 f"dual game leaves the class of {value_id}: {exc}"
             ) from None
-        return _outcome(check_id, _vector_witness(on_dual.allocation, base.allocation))
+        return _outcome(check_id, first_difference(on_dual.allocation, base.allocation))
 
     if axiom_id == "IndividualRationality":
         nu = individual_worths(v)
@@ -212,7 +204,7 @@ def check_convex_coincidence(v: TUGame) -> CheckOutcome:
     a_tau = values.tau(v).allocation
     a_chi = values.chi(v).allocation
     a_km = values.km(v).allocation
-    witness = _vector_witness(a_tau, a_chi) or _vector_witness(a_tau, a_km)
+    witness = first_difference(a_tau, a_chi) or first_difference(a_tau, a_km)
     return _outcome("convex_coincidence", witness)
 
 
@@ -371,43 +363,40 @@ class CheckStats:
         return self.failed == 0
 
 
-class _Acc:
-    def __init__(self, check_id: str, expected_negative: bool = False):
-        self.check_id = check_id
-        self.expected_negative = expected_negative
-        self.passed = 0
-        self.failed = 0
-        self.skipped = 0
-        self.witness: Witness | None = None
+def _tally(
+    check_id: str,
+    cases: Iterable[Any],
+    check: Callable[[Any], Witness | None],
+    skips: Tuple[type, ...] = (),
+    *,
+    scope: Sequence[bool] | None = None,
+    expected_negative: bool = False,
+) -> CheckStats:
+    """One suite row: check(case) returns a witness on failure, else None.
 
-    def record(self, outcome: CheckOutcome) -> None:
-        if outcome.passed:
-            self.passed += 1
+    A case is skipped when its scope flag is false (check is not called) or
+    when check raises one of the skips types.  The first witness is kept.
+    Cases are consumed before returning, so check may close over loop
+    variables of the caller.
+    """
+    passed = failed = skipped = 0
+    witness = None
+    for k, case in enumerate(cases):
+        if scope is not None and not scope[k]:
+            skipped += 1
+            continue
+        try:
+            found = check(case)
+        except skips:
+            skipped += 1
+            continue
+        if found is None:
+            passed += 1
         else:
-            self.failed += 1
-            if self.witness is None:
-                self.witness = outcome.witness
-
-    def record_pass(self) -> None:
-        self.passed += 1
-
-    def record_fail(self, witness: Witness) -> None:
-        self.failed += 1
-        if self.witness is None:
-            self.witness = witness
-
-    def skip(self) -> None:
-        self.skipped += 1
-
-    def freeze(self) -> CheckStats:
-        return CheckStats(
-            check_id=self.check_id,
-            passed=self.passed,
-            failed=self.failed,
-            skipped=self.skipped,
-            expected_negative=self.expected_negative,
-            witness=self.witness,
-        )
+            failed += 1
+            if witness is None:
+                witness = found
+    return CheckStats(check_id, passed, failed, skipped, expected_negative, witness)
 
 
 @dataclass(frozen=True)
@@ -451,7 +440,7 @@ class SuiteReport:
         }
 
 
-# Positive bound-pair fixtures: pair id -> (mu, eta, class predicate).  The
+# Positive bound-pair fixtures: (mu, eta, class predicate).  The
 # predicate names the class on which the pair provably satisfies all three
 # conditions; out-of-class games are skipped, not failed.
 def _pred_all(v: TUGame) -> bool:
@@ -488,7 +477,7 @@ def _pred_pansc(v: TUGame) -> bool:
 _POSITIVE_PAIRS = (
     ("KikutaLower", "MilnorUpper", _pred_all),
     ("MinimalRights", "MarginalContributions", _pred_semi_balanced),
-    ("MuFrom(MilnorUpper)", "MilnorUpper", _pred_all),
+    (bounds.MU_FROM_MILNOR, "MilnorUpper", _pred_all),
     ("IndividualWorths", "EtaPrime", _pred_weakly_essential),
     ("MarginalContributions", "EtaFromM", _pred_m_lower),
     ("EanscTildeLower", "MarginalContributions", _pred_m_upper_multi),
@@ -502,17 +491,70 @@ _RATIONAL_VALUES = ("cis", "tau", "chi", "gately")
 _COVARIANCE_SCALES = (Fraction(1, 2), Fraction(1), Fraction(3))
 
 
-def _resolve_pair(pair_id: str):
-    if pair_id == "MuFrom(MilnorUpper)":
-        return bounds.derived_lower_from_upper("MilnorUpper")
-    return functional(pair_id)
-
-
 def _random_shift(rng: random.Random, n: int) -> Tuple[Fraction, ...]:
     shift = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
     if all(c == 0 for c in shift):
         shift[0] = Fraction(1)
     return tuple(shift)
+
+
+def _pair_check(mu, eta) -> Callable[[TUGame], Witness | None]:
+    def check(v: TUGame) -> Witness | None:
+        report = bounds.check_bound_pair(v, mu, eta)
+        return report.witness_i or report.witness_iia or report.witness_iib
+
+    return check
+
+
+def _axiom(axiom_id: str, value_id: str) -> Callable[[TUGame], Witness | None]:
+    return lambda v: check_axiom(axiom_id, value_id, v).witness
+
+
+def _is_defined(f: Callable[[TUGame], values.ValueResult], v: TUGame) -> bool:
+    try:
+        f(v)
+    except DomainError:
+        return False
+    return True
+
+
+def _eansc_dual_identity(v: TUGame) -> Witness | None:
+    """EANSC of v equals CIS of the dual game."""
+    star = dual(v)
+    nu_star = individual_worths(star)
+    residual = (star.total - sum(nu_star)) / star.n
+    cis_of_dual = tuple(c + residual for c in nu_star)
+    return first_difference(values.eansc(v).allocation, cis_of_dual)
+
+
+def _eansc_route_agreement(v: TUGame) -> Witness | None:
+    """Rebuild EANSC through each bound-pair route that covers v."""
+    alloc = values.eansc(v).allocation
+    M = bounds.marginal_contributions(v)
+    routes = []
+    if v.n >= 2 and v.total <= sum(M):
+        routes.append((bounds.eansc_tilde_lower(v), M))
+    if v.total >= sum(M):
+        routes.append((M, bounds.eta_from_lower(v, M)))
+    for lower, upper in routes:
+        witness = first_difference(alloc, values.compromise(v, lower, upper).allocation)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _semi_balanced_order(v: TUGame) -> Witness | None:
+    """The semi-balanced quantifier agrees with the order m(v) <= M(v).
+
+    Each R_i(S, v) <= M_i rearranges to the coalition bound and conversely.
+    (The bound-sum bracket is NOT equivalent; see the decisions ledger.)
+    """
+    M = bounds.marginal_contributions(v)
+    m = bounds.minimal_rights(v)
+    by_order = all(a <= b for a, b in zip(m, M))
+    if bounds.is_strongly_upper_bounded(v, M) == by_order:
+        return None
+    return Witness(0, m, M)
 
 
 def run_suite_on_games(
@@ -537,197 +579,99 @@ def run_suite_on_games(
     checks: list[CheckStats] = []
 
     # Bound-pair positives, and the two intentional negative fixtures.
-    for mu_id, eta_id, pred in _POSITIVE_PAIRS:
-        acc = _Acc(f"bound_pair:{mu_id},{eta_id}")
-        for v in games:
-            if not pred(v):
-                acc.skip()
-                continue
-            report = bounds.check_bound_pair(v, _resolve_pair(mu_id), _resolve_pair(eta_id))
-            if report.passed:
-                acc.record_pass()
-            else:
-                acc.record_fail(
-                    report.witness_i or report.witness_iia or report.witness_iib
-                )
-        checks.append(acc.freeze())
-
+    for mu, eta, pred in _POSITIVE_PAIRS:
+        checks.append(_tally(
+            f"bound_pair:{functional(mu).id},{functional(eta).id}",
+            games, _pair_check(mu, eta), scope=[pred(v) for v in games],
+        ))
     if negative_fixtures:
-        acc = _Acc("bound_pair:IndividualWorths,EtaTrivial", expected_negative=True)
-        for v in games:
-            report = bounds.check_bound_pair(v, "IndividualWorths", "EtaTrivial")
-            if report.passed:
-                acc.record_pass()
-            else:
-                acc.record_fail(
-                    report.witness_i or report.witness_iia or report.witness_iib
-                )
-        checks.append(acc.freeze())
-
-        acc = _Acc("regular_lower:ConstantOne", expected_negative=True)
-        for v in games:
-            try:
-                acc.record(bounds.is_regular_lower(v, "ConstantOne"))
-            except NotInClass:
-                acc.skip()
-        checks.append(acc.freeze())
+        checks.append(_tally(
+            "bound_pair:IndividualWorths,EtaTrivial", games,
+            _pair_check("IndividualWorths", "EtaTrivial"), expected_negative=True,
+        ))
+        checks.append(_tally(
+            "regular_lower:ConstantOne", games,
+            lambda v: bounds.is_regular_lower(v, "ConstantOne").witness,
+            (NotInClass,), expected_negative=True,
+        ))
 
     # Translation covariance of every registry functional, checked against
-    # its registry flag.
+    # its registry flag; one random shift is drawn per game.
     for fn_id, fn in bounds.REGISTRY.items():
-        if not fn.is_translation_covariant and not negative_fixtures:
-            continue
-        acc = _Acc(
-            f"covariance_functional:{fn_id}",
-            expected_negative=not fn.is_translation_covariant,
-        )
-        for v in games:
-            x = _random_shift(rng, v.n)
-            try:
-                acc.record(bounds.check_translation_covariance(fn, v, x))
-            except TooFewPlayers:
-                acc.skip()
-        checks.append(acc.freeze())
+        if fn.is_translation_covariant or negative_fixtures:
+            checks.append(_tally(
+                f"covariance_functional:{fn_id}", games,
+                lambda v: bounds.check_translation_covariance(
+                    fn, v, _random_shift(rng, v.n)
+                ).witness,
+                (TooFewPlayers,), expected_negative=not fn.is_translation_covariant,
+            ))
 
     # Regularity of the flagged regular lower bounds on their classes.
     for fn_id, fn in bounds.REGISTRY.items():
-        if fn.is_regular_lower is not True:
-            continue
-        acc = _Acc(f"regular_lower:{fn_id}")
-        for v in games:
-            try:
-                acc.record(bounds.is_regular_lower(v, fn))
-            except (NotInClass, TooFewPlayers):
-                acc.skip()
-        checks.append(acc.freeze())
+        if fn.is_regular_lower is True:
+            checks.append(_tally(
+                f"regular_lower:{fn_id}", games,
+                lambda v: bounds.is_regular_lower(v, fn).witness,
+                (NotInClass, TooFewPlayers),
+            ))
 
-    # Per-value axiom blocks on in-class games.
+    # Per-value axiom blocks on in-class games.  Whether each value is
+    # defined on each game is decided once, here.
+    defined = {
+        vid: [_is_defined(f, v) for v in games] for vid, f in values.VALUES.items()
+    }
     for vid in values.VALUES:
-        applies: list[TUGame] = []
-        for v in games:
-            try:
-                values.VALUES[vid](v)
-            except DomainError:
-                continue
-            applies.append(v)
-
-        acc = _Acc(f"axiom:Efficiency:{vid}")
-        for v in applies:
-            acc.record(check_axiom("Efficiency", vid, v))
-        acc.skipped = len(games) - len(applies)
-        checks.append(acc.freeze())
-
-        acc = _Acc(f"axiom:MinimalRights:{vid}")
-        for v in applies:
-            try:
-                acc.record(check_axiom("MinimalRights", vid, v))
-            except (PreconditionNotMet, TooFewPlayers):
-                acc.skip()
-        checks.append(acc.freeze())
-
+        applies = [v for v, ok in zip(games, defined[vid]) if ok]
+        checks.append(_tally(
+            f"axiom:Efficiency:{vid}", games, _axiom("Efficiency", vid),
+            scope=defined[vid],
+        ))
+        checks.append(_tally(
+            f"axiom:MinimalRights:{vid}", applies, _axiom("MinimalRights", vid),
+            (PreconditionNotMet, TooFewPlayers),
+        ))
         prop = "EgalitarianDivision" if vid in values.LBC_FAMILY else "RestrictedProportionality"
-        acc = _Acc(f"axiom:{prop}:{vid}")
-        for v in applies:
-            mu_id, _ = values.AXIOM_PAIRS[vid]
-            try:
-                mu = functional(mu_id).evaluate(v)
-                shifted = subtract_allocation(v, mu)
-                acc.record(check_axiom(prop, vid, shifted))
-            except (PreconditionNotMet, NotInClass, TooFewPlayers):
-                acc.skip()
-        checks.append(acc.freeze())
+        mu_fn = functional(values.AXIOM_PAIRS[vid][0])
+        checks.append(_tally(
+            f"axiom:{prop}:{vid}", applies,
+            lambda v: check_axiom(
+                prop, vid, subtract_allocation(v, mu_fn.evaluate(v))
+            ).witness,
+            (PreconditionNotMet, NotInClass, TooFewPlayers),
+        ))
 
+    # Every probe is drawn, skipped games included, so the generator's
+    # stream does not depend on which games are in class.
     for vid in _COVARIANCE_VALUES:
-        acc = _Acc(f"axiom:Covariance:{vid}")
-        for k, v in enumerate(games):
-            scale = _COVARIANCE_SCALES[k % len(_COVARIANCE_SCALES)]
-            probe = (scale, _random_shift(rng, v.n))
-            try:
-                values.VALUES[vid](v)
-            except DomainError:
-                acc.skip()
-                continue
-            try:
-                acc.record(check_axiom("Covariance", vid, v, probe=probe))
-            except PreconditionNotMet:
-                acc.skip()
-        checks.append(acc.freeze())
+        scales = _COVARIANCE_SCALES
+        probed = [
+            (v, (scales[k % len(scales)], _random_shift(rng, v.n)))
+            for k, v in enumerate(games)
+        ]
+        checks.append(_tally(
+            f"axiom:Covariance:{vid}", probed,
+            lambda case: check_axiom("Covariance", vid, case[0], probe=case[1]).witness,
+            (PreconditionNotMet,), scope=defined[vid],
+        ))
+    for axiom_id, vids in (
+        ("SelfDuality", _SELF_DUAL_VALUES),
+        ("IndividualRationality", _RATIONAL_VALUES),
+    ):
+        for vid in vids:
+            checks.append(_tally(
+                f"axiom:{axiom_id}:{vid}", games, _axiom(axiom_id, vid),
+                (PreconditionNotMet,), scope=defined[vid],
+            ))
 
-    for vid in _SELF_DUAL_VALUES:
-        acc = _Acc(f"axiom:SelfDuality:{vid}")
-        for v in games:
-            try:
-                values.VALUES[vid](v)
-            except DomainError:
-                acc.skip()
-                continue
-            try:
-                acc.record(check_axiom("SelfDuality", vid, v))
-            except PreconditionNotMet:
-                acc.skip()
-        checks.append(acc.freeze())
-
-    for vid in _RATIONAL_VALUES:
-        acc = _Acc(f"axiom:IndividualRationality:{vid}")
-        for v in games:
-            try:
-                values.VALUES[vid](v)
-            except DomainError:
-                acc.skip()
-                continue
-            try:
-                acc.record(check_axiom("IndividualRationality", vid, v))
-            except PreconditionNotMet:
-                acc.skip()
-        checks.append(acc.freeze())
-
-    # EANSC structure: dual identity and route reconstruction.
-    acc = _Acc("eansc_dual_identity")
-    for v in games:
-        result = values.eansc(v)
-        star = dual(v)
-        nu_star = individual_worths(star)
-        residual = (star.total - sum(nu_star)) / star.n
-        cis_of_dual = tuple(c + residual for c in nu_star)
-        witness = _vector_witness(result.allocation, cis_of_dual)
-        if witness is None:
-            acc.record_pass()
-        else:
-            acc.record_fail(witness)
-    checks.append(acc.freeze())
-
-    acc = _Acc("eansc_route_agreement")
-    for v in games:
-        result = values.eansc(v)  # raises internally if a route disagrees
-        if result.route:
-            acc.record_pass()
-        else:
-            acc.record_fail(Witness(0, result.allocation, result.allocation))
-    checks.append(acc.freeze())
-
-    # The semi-balanced quantifier is equivalent to the componentwise order
-    # m(v) <= M(v): each R_i(S, v) <= M_i rearranges to the coalition bound
-    # and conversely.  (The bound-sum bracket is NOT equivalent; see the
-    # decisions ledger.)
-    acc = _Acc("semi_balanced_order")
-    for v in games:
-        M = bounds.marginal_contributions(v)
-        by_quantifier = bounds.is_strongly_upper_bounded(v, M)
-        m = bounds.minimal_rights(v)
-        by_order = all(a <= b for a, b in zip(m, M))
-        if by_quantifier == by_order:
-            acc.record_pass()
-        else:
-            acc.record_fail(Witness(0, m, M))
-    checks.append(acc.freeze())
-
-    acc = _Acc("convex_coincidence")
-    for v in convex_games:
-        try:
-            acc.record(check_convex_coincidence(v))
-        except NotInClass:
-            acc.skip()
-    checks.append(acc.freeze())
+    # EANSC structure, the semi-balanced order, and convex coincidence.
+    checks.append(_tally("eansc_dual_identity", games, _eansc_dual_identity))
+    checks.append(_tally("eansc_route_agreement", games, _eansc_route_agreement))
+    checks.append(_tally("semi_balanced_order", games, _semi_balanced_order))
+    checks.append(_tally(
+        "convex_coincidence", convex_games,
+        lambda v: check_convex_coincidence(v).witness, (NotInClass,),
+    ))
 
     return SuiteReport(seed=seed, game_count=len(games), checks=tuple(checks))
 

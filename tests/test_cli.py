@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour through main(argv)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -227,5 +228,49 @@ def test_argparse_rejects_bad_usage(capsys):
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["check"])
+    assert err.value.code == 2
+    capsys.readouterr()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("seed", ["0", "42"])
+def test_check_sample_matches_golden(seed, capsys):
+    assert main(["check", "--sample", "--seed", seed, "--format", "json"]) == 0
+    expected = (GOLDEN / f"check_sample_seed{seed}.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "0"],
+        ["sample", "--count", "-1"],
+        ["check", "--sample", "--n", "25"],
+    ],
+)
+def test_invalid_sampler_flags_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_invalid_player_cap_setting_exits_2(game_file, monkeypatch, capsys):
+    monkeypatch.setenv("COOPVALS_MAX_PLAYERS", "lots")
+    for argv in (
+        ["sample", "--count", "1"],
+        ["report", "--game", game_file(G6)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "COOPVALS_MAX_PLAYERS" in captured.err
+
+
+def test_check_has_no_suite_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--sample", "--suite"])
     assert err.value.code == 2
     capsys.readouterr()

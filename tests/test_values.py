@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import oracles
 from conftest import g_a, games
@@ -17,6 +17,8 @@ from coopvals import (
     NotBalanced,
     NotInClass,
     NotRegularLowerBound,
+    REGISTRY,
+    TooFewPlayers,
     VALUES,
     ValueResult,
     additive_game,
@@ -29,9 +31,12 @@ from coopvals import (
     eansc,
     egalitarian,
     gately,
+    individual_worths,
     km,
     lbc_value,
+    marginal_contributions,
     pansc,
+    subtract_allocation,
     tau,
     ubc_value,
 )
@@ -223,3 +228,47 @@ def test_tau_matches_oracle_when_defined(v):
         return
     expected = oracles.tau_vector(table)
     assert list(r.allocation) == [expected[i + 1] for i in range(v.n)]
+
+
+# The identities below are proven, not re-derived on every call; these
+# properties are where they are checked.
+
+
+@settings(max_examples=80, deadline=None)
+@given(games(n_min=1, n_max=4))
+def test_gately_matches_engine_when_ordered(v):
+    nu = individual_worths(v)
+    M = marginal_contributions(v)
+    assume(all(a <= b for a, b in zip(nu, M)))
+    assume(sum(nu) <= v.total <= sum(M))
+    assert gately(v).allocation == compromise(v, nu, M).allocation
+
+
+@settings(max_examples=80, deadline=None)
+@given(games(n_min=1, n_max=4, lo=0))
+def test_pansc_matches_engine_inside_bracket(v):
+    M = marginal_contributions(v)
+    assume(all(c >= 0 for c in M))
+    assume(0 <= v.total <= sum(M))
+    zero = (F(0),) * v.n
+    assert pansc(v).allocation == compromise(v, zero, M).allocation
+
+
+@settings(max_examples=60, deadline=None)
+@given(games(n_min=1, n_max=4))
+def test_lbc_closed_form_and_regularity(v):
+    checked = 0
+    for fn in REGISTRY.values():
+        if fn.is_regular_lower is not True:
+            continue
+        try:
+            r = lbc_value(v, fn)
+        except (NotInClass, TooFewPlayers):
+            continue
+        mu = fn.evaluate(v)
+        residual = (v.total - sum(mu)) / v.n
+        assert r.allocation == tuple(m + residual for m in mu), fn.id
+        assert fn.evaluate(subtract_allocation(v, mu)) == (0,) * v.n, fn.id
+        checked += 1
+    # the zero lower bound is in class whenever v(N) >= 0
+    assert checked > 0 or v.total < 0

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import oracles
+from coopvals import values
 from coopvals import (
     CheckStats,
     CoopvalsError,
@@ -13,6 +14,7 @@ from coopvals import (
     SamplerConfig,
     SamplerExhausted,
     SuiteReport,
+    ValueResult,
     build_game,
     check_axiom,
     check_convex_coincidence,
@@ -180,3 +182,21 @@ def test_convex_batch_coincidence_all_pass():
     coincidence = by_id["convex_coincidence"]
     assert coincidence.passed == 15
     assert coincidence.failed == 0
+
+
+def test_eansc_route_agreement_catches_a_wrong_allocation(g2, g6, monkeypatch):
+    real = values.eansc
+
+    def off_by_one(v):
+        r = real(v)
+        alloc = (r.allocation[0] + 1,) + r.allocation[1:]
+        return ValueResult("eansc", alloc, None, r.lower_used, r.upper_used, r.route)
+
+    monkeypatch.setattr(values, "eansc", off_by_one)
+    report = run_suite_on_games([g2, g6], negative_fixtures=False)
+    row = {c.check_id: c for c in report.checks}["eansc_route_agreement"]
+    assert row.failed == 2
+    assert not row.ok and not report.ok
+    assert row.witness.component == 0
+    assert row.witness.lhs == off_by_one(g2).allocation
+    assert row.witness.rhs == real(g2).allocation
