@@ -24,12 +24,17 @@ R_i(S, v) = v(S) - sum_{j in S-i} eta_j(v).
 A pair (mu, eta) is a bound pair on a game v when (i) mu(v) <= eta(v)
 componentwise, (ii-a) mu(v - mu(v)) = 0, and (ii-b) eta(v - mu(v)) =
 eta(v) - mu(v), where v - x subtracts the additive game of x.
+
+The extreme marginals, mu^eta and the class tests sweep the integer-scaled
+table with the subset kernel of coopvals.game, in O(n * 2^n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import sub
 from typing import Callable, Sequence, Tuple, Union
 
 from .errors import (
@@ -41,9 +46,11 @@ from .errors import (
 )
 from .game import (
     TUGame,
-    coalition_total,
+    additive_table,
+    halves,
     individual_worths,
     marginal_contributions,
+    scaled_with,
     subtract_allocation,
     transform,
 )
@@ -96,21 +103,8 @@ def milnor_upper(v: TUGame) -> BoundVector:
 
 
 def _extreme_marginals(v: TUGame, pick) -> BoundVector:
-    W = v.worths
-    out = []
-    for i in range(v.n):
-        bit = 1 << i
-        rest = v.grand ^ bit
-        best = None
-        S = rest
-        while True:
-            m = W[S | bit] - W[S]
-            best = m if best is None else pick(best, m)
-            if S == 0:
-                break
-            S = (S - 1) & rest
-        out.append(best)
-    return tuple(out)
+    L, W = v.scaled
+    return tuple(Fraction(pick(map(sub, *halves(W, i))), L) for i in range(v.n))
 
 
 def zero_lower(v: TUGame) -> BoundVector:
@@ -154,25 +148,18 @@ def eta_from_lower(v: TUGame, mu: Sequence[Fraction]) -> BoundVector:
     return tuple(vN - (total - mu_i) for mu_i in mu)
 
 
+def _excess(v: TUGame, eta: Sequence[Fraction]) -> Tuple[int, list, list]:
+    """(L, L*eta, e) with e[S] = L * (v(S) - eta(S)) for every coalition S."""
+    L, W, E = scaled_with(v, eta)
+    return L, E, list(map(sub, W, additive_table(E)))
+
+
 def mu_from_upper_vector(v: TUGame, eta: Sequence[Fraction]) -> BoundVector:
-    """mu^eta for an already evaluated upper bound vector eta."""
-    W = v.worths
-    out = []
-    for i in range(v.n):
-        bit = 1 << i
-        rest = v.grand ^ bit
-        best = None
-        S = rest
-        while True:
-            T = S | bit
-            r = W[T] - (coalition_total(eta, T) - eta[i])
-            if best is None or r > best:
-                best = r
-            if S == 0:
-                break
-            S = (S - 1) & rest
-        out.append(best)
-    return tuple(out)
+    """mu^eta_i = eta_i + max_{S: i in S} (v(S) - eta(S)) for an evaluated eta."""
+    L, E, excess = _excess(v, eta)
+    return tuple(
+        Fraction(E[i] + max(halves(excess, i)[0]), L) for i in range(v.n)
+    )
 
 
 def mu_from_upper(v: TUGame, eta_id: Union[str, "BoundFunctional"]) -> BoundVector:
@@ -433,10 +420,8 @@ class MembershipReport:
 
 def is_strongly_upper_bounded(v: TUGame, eta: Sequence[Fraction]) -> bool:
     """v(S) <= sum_{i in S} eta_i for every nonempty coalition S."""
-    eta = tuple(Fraction(c) for c in eta)
-    return all(
-        v.worths[S] <= coalition_total(eta, S) for S in range(1, 1 << v.n)
-    )
+    # The empty coalition has excess 0, so it does not move the maximum.
+    return max(_excess(v, eta)[2]) <= 0
 
 
 def membership(
@@ -457,12 +442,12 @@ def membership(
     else:
         in_proper = None
 
+    # b_hat: v(S) - nu(S) <= (|S| - 1) * slack for nonempty S, that is, the
+    # excess of v over the vector nu + slack is at most -slack.
     nu = individual_worths(v)
     slack = vN - sum(nu)
-    in_b_hat = all(
-        v.worths[S] - coalition_total(nu, S) <= (S.bit_count() - 1) * slack
-        for S in range(1, 1 << v.n)
-    )
+    L, _, excess = _excess(v, [c + slack for c in nu])
+    in_b_hat = max(islice(excess, 1, None)) <= -slack * L
     in_b_tilde = vN <= sum(marginal_contributions(v))
     return MembershipReport(
         in_balanced=in_balanced,

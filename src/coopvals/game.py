@@ -5,7 +5,10 @@ v(empty) = 0.  A coalition is an int bit pattern: player i (0-based) is a
 member iff bit i of the pattern is set, so the full table has 2**n entries
 indexed 0 .. 2**n - 1 and the grand coalition is 2**n - 1.
 
-All arithmetic uses fractions.Fraction; there is no floating point here.
+Worths are fractions.Fraction; there is no floating point here.  Sweeps
+over all coalitions run on TUGame.scaled, the table times the least common
+denominator L of its worths as ints (exact: they take sums, maxima, minima
+and comparisons, which commute with scaling), and divide by L at the end.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from functools import cached_property
+from itertools import chain
+from math import lcm
+from operator import add, ge, sub
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 from .errors import (
     CoopvalsError,
@@ -28,6 +35,7 @@ from .errors import (
 
 __all__ = [
     "DEFAULT_PLAYER_CAP",
+    "SCALE_CAP",
     "RationalLike",
     "Allocation",
     "TUGame",
@@ -37,6 +45,10 @@ __all__ = [
     "members",
     "coalition_size",
     "coalition_total",
+    "additive_table",
+    "zeta",
+    "halves",
+    "scaled_with",
     "build_game",
     "worth",
     "dual",
@@ -52,6 +64,10 @@ __all__ = [
 ]
 
 DEFAULT_PLAYER_CAP = 20
+
+# Largest L a table is scaled by.  With coprime denominators L grows with the
+# table; past this (a few machine words per entry) sweeps keep the Fractions.
+SCALE_CAP = 1 << 256
 
 # Inputs accepted wherever a rational number is expected.
 RationalLike = Union[Fraction, int, str]
@@ -104,14 +120,33 @@ def coalition_size(S: int) -> int:
 
 def coalition_total(x: Sequence[Fraction], S: int) -> Fraction:
     """x(S) = sum of x_i over members i of S."""
-    total = Fraction(0)
-    i = 0
-    while S:
-        if S & 1:
-            total += x[i]
-        S >>= 1
-        i += 1
-    return total
+    return sum((x[i] for i in members(S)), Fraction(0))
+
+
+def additive_table(x: Sequence) -> list:
+    """[x(S) for every coalition S], doubling the table once per player."""
+    table = [0]
+    for x_i in x:
+        table += [t + x_i for t in table]
+    return table
+
+
+def zeta(table: list) -> None:
+    """In place, replace table[S] by the sum of table[T] over all T within S."""
+    size, bit = len(table), 1
+    while bit < size:
+        for lo in range(bit, size, 2 * bit):
+            table[lo:lo + bit] = map(add, table[lo:lo + bit], table[lo - bit:lo])
+        bit <<= 1
+
+
+def halves(table: Sequence, i: int) -> Tuple[Iterator, Iterator]:
+    """Iterators over table[S + i] and table[S] for the S avoiding player i,
+    in increasing S: the k-th S is the k-th coalition of the other players."""
+    bit = 1 << i
+    blocks = range(bit, len(table), 2 * bit)
+    upper = chain.from_iterable(table[lo:lo + bit] for lo in blocks)
+    return upper, chain.from_iterable(table[lo - bit:lo] for lo in blocks)
 
 
 def _check_coalition(S: int, n: int) -> None:
@@ -168,6 +203,31 @@ class TUGame:
     def worth(self, S: int) -> Fraction:
         _check_coalition(S, self.n)
         return self.worths[S]
+
+    @cached_property
+    def scaled(self) -> Tuple[int, tuple]:
+        """(L, L*v): L the least common denominator of the worths, and the
+        worths times L as ints.  (1, worths) when L exceeds SCALE_CAP."""
+        L = 1
+        for w in self.worths:
+            if L % w.denominator:
+                L = lcm(L, w.denominator)
+                if L > SCALE_CAP:
+                    return 1, self.worths
+        return L, tuple(w.numerator * (L // w.denominator) for w in self.worths)
+
+
+def scaled_with(v: TUGame, x: Sequence[RationalLike]) -> Tuple[int, Sequence, list]:
+    """(L, L*v, L*x) as in TUGame.scaled, for a common denominator L of the
+    game and the vector x; (1, worths, x) when L would exceed SCALE_CAP."""
+    L, W = v.scaled
+    x = [Fraction(c) for c in x]
+    common = lcm(L, *(c.denominator for c in x))
+    if common > SCALE_CAP:
+        return 1, v.worths, x
+    if common != L:
+        W = [w * (common // L) for w in W]
+    return common, W, [c.numerator * (common // c.denominator) for c in x]
 
 
 @dataclass(frozen=True)
@@ -264,8 +324,10 @@ def transform(v: TUGame, scale: RationalLike, shift: Sequence[RationalLike]) -> 
     x = tuple(Fraction(s) for s in shift)
     if len(x) != v.n:
         raise CoopvalsError(f"shift must have {v.n} components, got {len(x)}")
+    L, W, x = scaled_with(v, x)
+    p, q = scale.numerator, scale.denominator
     table = tuple(
-        scale * v.worths[S] + coalition_total(x, S) for S in range(1 << v.n)
+        Fraction(p * w + q * t, q * L) for w, t in zip(W, additive_table(x))
     )
     return TUGame(v.n, table, v.labels)
 
@@ -288,10 +350,8 @@ def base_game(n: int, S: int) -> TUGame:
 
 def additive_game(x: Sequence[RationalLike]) -> TUGame:
     """The additive game v(S) = x(S) for a payoff vector x."""
-    payoffs = tuple(Fraction(c) for c in x)
-    n = len(payoffs)
-    table = tuple(coalition_total(payoffs, S) for S in range(1 << n))
-    return TUGame(n, table)
+    payoffs = [Fraction(c) for c in x]
+    return TUGame(len(payoffs), tuple(additive_table(payoffs)))
 
 
 def unanimity_game(n: int, T: int) -> TUGame:
@@ -306,72 +366,53 @@ def unanimity_game(n: int, T: int) -> TUGame:
 
 
 def classify(v: TUGame) -> ClassReport:
-    """Evaluate all structural class predicates by direct enumeration.
+    """Evaluate all structural class predicates on the scaled table.
 
-    Monotonicity checks one-player deletions, which chain to all nonempty
-    subset pairs.  Superadditivity enumerates disjoint pairs via submask
-    iteration.  Convexity uses the pairwise marginal characterisation:
-    v(S+i+j) - v(S+j) >= v(S+i) - v(S) for all i != j and S avoiding both,
-    which is O(n^2 * 2^n).
+    Monotonicity checks that no marginal contribution to a nonempty
+    coalition is negative, which chains to all nonempty subset pairs.
+    Convexity checks that each player's marginal contributions are
+    nondecreasing in every other player, in O(n^2 * 2^n).  Superadditivity
+    follows from convexity, or else visits each split of each coalition into
+    two nonempty parts once, in O(3^n).
     """
-    n, W = v.n, v.worths
-    size = 1 << n
+    n = v.n
+    _, W = v.scaled
+    full = v.grand
 
-    monotonic = True
-    for T in range(1, size):
-        for i in members(T):
-            rest = T ^ (1 << i)
-            if rest and W[rest] > W[T]:
-                monotonic = False
-                break
-        if not monotonic:
-            break
-
-    superadditive = True
-    for U in range(3, size):
-        S = (U - 1) & U
-        while S and superadditive:
-            T = U ^ S
-            if T and S < T and W[S] + W[T] > W[U]:
-                superadditive = False
-            S = (S - 1) & U
-        if not superadditive:
-            break
-
-    convex = True
+    monotonic = convex = True
     for i in range(n):
-        if not convex:
-            break
-        for j in range(i + 1, n):
-            bi, bj = 1 << i, 1 << j
-            rest = v.grand ^ bi ^ bj
-            S = rest
-            while True:
-                if W[S | bi | bj] - W[S | bj] < W[S | bi] - W[S]:
-                    convex = False
-                    break
-                if S == 0:
-                    break
-                S = (S - 1) & rest
-            if not convex:
-                break
+        # Marginal contributions of i to the coalitions of the others, in
+        # which player j > i sits at position j - 1.
+        marginal = list(map(sub, *halves(W, i)))
+        monotonic = monotonic and min(marginal[1:], default=0) >= 0
+        convex = convex and all(
+            all(map(ge, *halves(marginal, j))) for j in range(i, n - 1)
+        )
 
-    M = marginal_contributions(v)
-    vN = v.total
-    sum_nu = sum(individual_worths(v))
+    # Convex games are superadditive (v(S + T) + v(empty) >= v(S) + v(T) for
+    # disjoint S, T), so only the others need the O(3^n) sweep.
+    superadditive = True
+    if not convex:
+        for U in range(3, full + 1):
+            low = U & -U
+            rest = S = U ^ low
+            # low + S and rest - S split U, for S over the proper subsets of rest.
+            while superadditive and S:
+                S = (S - 1) & rest
+                superadditive = W[low | S] + W[rest ^ S] <= W[U]
+
+    vN = W[full]
+    M = [vN - W[full ^ (1 << i)] for i in range(n)]
+    sum_nu = sum(W[1 << i] for i in range(n))
     sum_M = sum(M)
     weakly_essential = sum_nu <= vN
-    essential = weakly_essential and vN <= sum_M
-    semi_balanced = all(
-        W[S] <= coalition_total(M, S) for S in range(1, size)
-    )
     return ClassReport(
         monotonic=monotonic,
         superadditive=superadditive,
         convex=convex,
-        essential=essential,
+        essential=weakly_essential and vN <= sum_M,
         weakly_essential=weakly_essential,
-        semi_balanced=semi_balanced,
+        semi_balanced=max(map(sub, W, additive_table(M))) <= 0,
         M_lower_class=vN >= sum_M,
         M_upper_class=vN <= sum_M,
     )

@@ -10,8 +10,12 @@ A game file is a UTF-8 JSON object:
 
 Coalition keys list 1-based player indices, comma separated and strictly
 increasing.  Worths may be integers, "p/q" strings with q > 0, or decimal
-strings; JSON number literals with a fractional part are converted from
-their decimal spelling, never through a binary float.  Missing coalitions
+strings: an optional sign, digits, then "/" and digits or an optional "."
+and digits and exponent, as in "-2.5" or "3e-2"; nothing else, no spaces.
+JSON number literals with a fractional part are converted from their decimal
+spelling, never through a binary float.  A literal, JSON numbers included,
+has at most MAX_LITERAL_LENGTH characters, and an exponent counts as that
+many more.  Missing coalitions
 default to 0.  Machine pipelines may instead supply "worths_by_mask", a
 dense list of 2^players rationals indexed by coalition bitmask; exactly
 one of the two keys must be present.
@@ -35,6 +39,11 @@ __all__ = ["parse_game_file", "serialise_game", "game_doc"]
 
 _KEY_RE = re.compile(r"^[1-9]\d*(,[1-9]\d*)*$")
 
+_LITERAL_RE = re.compile(
+    r"[-+]?\d+(?:/\d*[1-9]\d*|(?:\.\d+)?(?:[eE]([-+]?\d+))?)", re.ASCII
+)
+MAX_LITERAL_LENGTH = 1000
+
 _TOP_LEVEL_KEYS = {"players", "labels", "worths", "worths_by_mask"}
 
 
@@ -51,16 +60,28 @@ def _no_nonfinite(token):
     raise ParseError(f"non-finite number {token!r} is not a rational")
 
 
+def _literal(text: str, where: str) -> Fraction:
+    """The exact value of a rational literal in the documented grammar."""
+    match = _LITERAL_RE.fullmatch(text)
+    if match is None:
+        raise ParseError(f"{where}: {text[:40]!r} is not a rational literal")
+    # The length test comes first: it keeps int() off oversized exponents.
+    if len(text) > MAX_LITERAL_LENGTH or (
+        match[1] and abs(int(match[1])) > MAX_LITERAL_LENGTH - len(text)
+    ):
+        raise ParseError(
+            f"{where}: literal longer than {MAX_LITERAL_LENGTH} characters"
+        )
+    return Fraction(text)
+
+
 def _to_fraction(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{where}: {value!r} is not a rational literal") from None
+        return _literal(value, where)
     raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
@@ -94,7 +115,8 @@ def parse_game_file(data: Union[bytes, str]) -> TUGame:
     try:
         doc = json.loads(
             data,
-            parse_float=Fraction,
+            parse_int=lambda token: int(_literal(token, "JSON integer")),
+            parse_float=lambda token: _literal(token, "JSON number"),
             parse_constant=_no_nonfinite,
             object_pairs_hook=_no_duplicate_keys,
         )

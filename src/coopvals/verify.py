@@ -44,6 +44,7 @@ from .game import (
     subtract_allocation,
     transform,
     zero_normalise,
+    zeta,
 )
 
 __all__ = [
@@ -277,25 +278,18 @@ def _draw_any(rng: random.Random, config: SamplerConfig, n: int) -> TUGame:
 def _draw_convex(rng: random.Random, config: SamplerConfig, n: int) -> TUGame:
     # Nonnegative unanimity combination plus an additive shift: convex by
     # construction since unanimity games are convex and the cone is closed
-    # under nonnegative sums and additive translations.
+    # under nonnegative sums and additive translations.  The combination is
+    # the zeta transform of the coefficients, summed on their scaled ints.
     hi = max(config.numerator_max, 1)
-    coeffs = {
-        T: Fraction(rng.randint(0, hi), rng.randint(1, config.denominator_max))
-        for T in range(1, 1 << n)
-    }
+    coeffs = (0, *(
+        Fraction(rng.randint(0, hi), rng.randint(1, config.denominator_max))
+        for _ in range((1 << n) - 1)
+    ))
     shift = tuple(_draw_fraction(rng, config) for _ in range(n))
-    table = [Fraction(0)] * (1 << n)
-    for S in range(1, 1 << n):
-        total = Fraction(0)
-        T = S
-        while True:
-            if T:
-                total += coeffs[T]
-            if T == 0:
-                break
-            T = (T - 1) & S
-        table[S] = total
-    return transform(TUGame(n, tuple(table)), 1, shift)
+    L, scaled = TUGame(n, coeffs).scaled
+    table = list(scaled)
+    zeta(table)
+    return transform(TUGame(n, tuple(Fraction(t, L) for t in table)), 1, shift)
 
 
 def _accepts(class_filter: str, v: TUGame) -> bool:

@@ -89,3 +89,76 @@ def dual_table(table):
     everyone = frozenset(players_of(table))
     total = table[everyone]
     return {s: total - table[everyone - s] for s in subsets(everyone)}
+
+
+def extreme_marginal_vectors(table):
+    """(Kikuta, Milnor): the least and the largest marginal contribution
+    v(S) - v(S - i) of each player over the coalitions S containing i."""
+    everyone = players_of(table)
+    kikuta, milnor = {}, {}
+    for i in everyone:
+        marginals = [
+            table[coalition] - table[coalition - {i}]
+            for coalition in subsets(everyone)
+            if i in coalition
+        ]
+        kikuta[i], milnor[i] = min(marginals), max(marginals)
+    return kikuta, milnor
+
+
+def mu_from_upper(table, eta):
+    """mu^eta_i: the largest remainder v(S) - sum_{j in S - i} eta_j over the
+    coalitions S containing i, for an arbitrary vector eta keyed by player."""
+    everyone = players_of(table)
+    return {
+        i: max(
+            table[coalition] - sum(eta[j] for j in coalition if j != i)
+            for coalition in subsets(everyone)
+            if i in coalition
+        )
+        for i in everyone
+    }
+
+
+def is_strongly_upper_bounded(table, eta):
+    """v(S) <= sum_{i in S} eta_i for every nonempty coalition S."""
+    return all(
+        table[coalition] <= sum(eta[i] for i in coalition)
+        for coalition in subsets(players_of(table))
+        if coalition
+    )
+
+
+def is_monotonic(table):
+    """v(S) <= v(T) for all nonempty S within T."""
+    everything = [s for s in subsets(players_of(table)) if s]
+    return all(table[s] <= table[t] for s in everything for t in everything if s <= t)
+
+
+def is_superadditive(table):
+    """v(S) + v(T) <= v(S union T) for all disjoint nonempty S, T."""
+    everything = [s for s in subsets(players_of(table)) if s]
+    return all(
+        table[s] + table[t] <= table[s | t]
+        for s in everything
+        for t in everything
+        if not s & t
+    )
+
+
+def is_semi_balanced(table):
+    """Strongly upper bounded by the marginal vector."""
+    return is_strongly_upper_bounded(table, marginal_vector(table))
+
+
+def in_b_hat(table):
+    """v(S) - sum_{i in S} v({i}) <= (|S| - 1) * (v(N) - sum_i v({i})) for
+    every nonempty coalition S."""
+    everyone = players_of(table)
+    single = {i: table[frozenset({i})] for i in everyone}
+    slack = table[frozenset(everyone)] - sum(single.values())
+    return all(
+        table[s] - sum(single[i] for i in s) <= (len(s) - 1) * slack
+        for s in subsets(everyone)
+        if s
+    )

@@ -242,6 +242,50 @@ def test_check_sample_matches_golden(seed, capsys):
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 
+DENSE8 = str(GOLDEN / "dense8_game.json")
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (
+            ["sample", "--filter", "convex", "--n", "10", "--count", "2",
+             "--seed", "0", "--format", "json"],
+            "sample_convex_n10_seed0.json",
+        ),
+        (["report", "--game", DENSE8, "--format", "json"], "dense8_report.json"),
+        (
+            ["bounds", "--game", DENSE8, "--pair", "tau", "--format", "json"],
+            "dense8_bounds_tau.json",
+        ),
+    ],
+)
+def test_output_matches_golden(argv, golden, capsys):
+    assert main(argv) == 0
+    expected = (GOLDEN / golden).read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize(
+    "worth",
+    [
+        "9" * 5000,  # over Python's 4300-digit int conversion limit
+        '"1e50000"',
+        '" 1/2 "',
+        '"1_000"',
+    ],
+    ids=["5000-digit-integer", "huge-exponent", "padded", "underscore"],
+)
+def test_bad_worth_literal_exits_2(worth, tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text('{"players": 2, "worths": {"1": 1, "1,2": %s}}' % worth)
+    assert main(["compute", "--game", str(path), "--value", "cis"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,0 +1,170 @@
+"""The subset kernel in coopvals.game, checked against the frozenset oracles.
+
+Every game here is swept twice: by the package, on its integer-scaled table
+or, when the common denominator passes SCALE_CAP, on its Fractions; and by
+the oracles, coalition by coalition.  The games mix small denominators with
+pairwise coprime Fermat numbers 2^(2^k) + 1, so both sides of the cap occur.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from coopvals import (
+    TUGame,
+    classify,
+    is_strongly_upper_bounded,
+    kikuta_lower,
+    membership,
+    milnor_upper,
+    transform,
+)
+from coopvals.bounds import BoundFunctional, mu_from_upper_vector
+from coopvals.game import SCALE_CAP, additive_table, coalition_total, halves, zeta
+
+FERMAT = [2 ** (2**k) + 1 for k in range(10)]
+
+rationals = st.builds(
+    Fraction,
+    st.integers(-40, 40),
+    st.integers(1, 4) | st.sampled_from(FERMAT),
+)
+
+
+def _players(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _random_games(n):
+    return st.lists(rationals, min_size=(1 << n) - 1, max_size=(1 << n) - 1).map(
+        lambda worths: TUGame(n, (Fraction(0), *worths))
+    )
+
+
+def _convex_games(n):
+    # Nonnegative unanimity combinations plus a small additive part: convex,
+    # so the class predicates also come out true, sometimes with negative
+    # singleton worths.
+    def build(coeffs, x):
+        table = [
+            sum((c for T, c in enumerate(coeffs, 1) if T & S == T), Fraction(0))
+            + sum((x[i] for i in _players(S)), Fraction(0))
+            for S in range(1 << n)
+        ]
+        return TUGame(n, tuple(table))
+
+    denominators = st.integers(1, 4) | st.sampled_from(FERMAT)
+    return st.builds(
+        build,
+        st.lists(
+            st.builds(Fraction, st.integers(0, 9), denominators),
+            min_size=(1 << n) - 1,
+            max_size=(1 << n) - 1,
+        ),
+        st.lists(
+            st.builds(Fraction, st.integers(-9, 9), denominators),
+            min_size=n,
+            max_size=n,
+        ),
+    )
+
+
+def _nudged(games, n):
+    # One coalition moved off a convex game: the predicates fail at a
+    # single place, which a sweep that skips some pairs would miss.
+    def nudge(v, S, delta):
+        worths = list(v.worths)
+        worths[S] += delta
+        return TUGame(n, tuple(worths))
+
+    return st.builds(nudge, games, st.integers(1, (1 << n) - 1), rationals)
+
+
+wide_games = st.integers(1, 6).flatmap(
+    lambda n: st.one_of(
+        _random_games(n), _convex_games(n), _nudged(_convex_games(n), n)
+    )
+)
+
+
+def _vec(d):
+    return tuple(d[i] for i in sorted(d))
+
+
+def _keyed(x):
+    return {i + 1: c for i, c in enumerate(x)}
+
+
+def test_fermat_denominators_pass_the_cap():
+    worths = [Fraction(0)] + [Fraction(1, FERMAT[k % 10]) for k in range(15)]
+    v = TUGame(4, tuple(worths))
+    assert v.scaled == (1, v.worths)
+    small = TUGame(2, (0, Fraction(1, 2), Fraction(1, 3), Fraction(5, 4)))
+    assert small.scaled == (12, (0, 6, 4, 15))
+    assert SCALE_CAP < FERMAT[9]
+
+
+def test_additive_table_zeta_and_halves():
+    x = (Fraction(1, 2), Fraction(-3), Fraction(7, 5))
+    assert additive_table(x) == [coalition_total(x, S) for S in range(8)]
+    table = list(range(8))
+    zeta(table)
+    assert table == [sum(T for T in range(8) if T & S == T) for S in range(8)]
+    with_1, without_1 = halves(list(range(8)), 1)
+    assert list(with_1) == [2, 3, 6, 7]
+    assert list(without_1) == [0, 1, 4, 5]
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_games)
+# |S|^2 with v({2, 3}) raised: the only violated split is {1} + {2, 3}.
+@example(TUGame(3, (0, 1, 1, 4, 1, 4, Fraction(17, 2), 9)))
+def test_classify_matches_oracles(v):
+    table = oracles.game_from_tugame(v)
+    report = classify(v)
+    assert report.monotonic == oracles.is_monotonic(table)
+    assert report.superadditive == oracles.is_superadditive(table)
+    assert report.convex == oracles.is_convex(table)
+    assert report.semi_balanced == oracles.is_semi_balanced(table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_games, st.data())
+def test_bound_kernels_match_oracles(v, data):
+    table = oracles.game_from_tugame(v)
+    kikuta, milnor = oracles.extreme_marginal_vectors(table)
+    assert kikuta_lower(v) == _vec(kikuta)
+    assert milnor_upper(v) == _vec(milnor)
+
+    arbitrary = tuple(data.draw(st.lists(rationals, min_size=v.n, max_size=v.n)))
+    for eta in (arbitrary, milnor_upper(v)):
+        keyed = _keyed(eta)
+        assert mu_from_upper_vector(v, eta) == _vec(oracles.mu_from_upper(table, keyed))
+        assert is_strongly_upper_bounded(v, eta) == oracles.is_strongly_upper_bounded(
+            table, keyed
+        )
+
+    eta_fn = BoundFunctional("Drawn", lambda game: arbitrary, True)
+    report = membership(v, "KikutaLower", eta_fn)
+    assert report.in_b_hat == oracles.in_b_hat(table)
+    assert report.in_strong_upper == oracles.is_strongly_upper_bounded(
+        table, _keyed(arbitrary)
+    )
+    derived = oracles.mu_from_upper(table, _keyed(arbitrary))
+    assert report.in_proper_upper == (
+        report.in_strong_upper and sum(derived.values()) <= v.total
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_games, st.data())
+def test_transform_matches_coalition_sums(v, data):
+    scale = data.draw(rationals.filter(lambda c: c > 0))
+    shift = tuple(data.draw(st.lists(rationals, min_size=v.n, max_size=v.n)))
+    moved = transform(v, scale, shift)
+    assert moved.worths == tuple(
+        scale * v.worths[S] + sum((shift[i] for i in _players(S)), Fraction(0))
+        for S in range(1 << v.n)
+    )
