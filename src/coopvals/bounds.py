@@ -47,6 +47,7 @@ from .errors import (
 from .game import (
     TUGame,
     additive_table,
+    as_fraction,
     halves,
     individual_worths,
     marginal_contributions,
@@ -140,7 +141,7 @@ def eansc_tilde_lower(v: TUGame) -> BoundVector:
 
 def eta_from_lower(v: TUGame, mu: Sequence[Fraction]) -> BoundVector:
     """The residual upper bound eta^mu_i(v) = v(N) - sum_{j != i} mu_j(v)."""
-    mu = tuple(Fraction(x) for x in mu)
+    mu = tuple(map(as_fraction, mu))
     if len(mu) != v.n:
         raise CoopvalsError(f"expected {v.n} bound components, got {len(mu)}")
     vN = v.total
@@ -174,7 +175,7 @@ def mu_from_upper(v: TUGame, eta_id: Union[str, "BoundFunctional"]) -> BoundVect
         raise NonCovariantUpperBound(
             f"{fn.id} is not translation covariant; cannot derive a lower bound"
         )
-    return mu_from_upper_vector(v, fn.evaluate(v))
+    return mu_from_upper_vector(v, fn(v))
 
 
 def minimal_rights(v: TUGame) -> BoundVector:
@@ -182,19 +183,36 @@ def minimal_rights(v: TUGame) -> BoundVector:
     return mu_from_upper_vector(v, marginal_contributions(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundFunctional:
     """A named bound functional plus its registry flags.
 
     is_regular_lower is None when the functional is not meant to serve as a
     lower bound.  Covariance flags are set from proven claims and re-checked
     empirically by the test suite.
+
+    Call the functional, fn(v), rather than fn.evaluate(v): the call is
+    remembered in the game's memo.  Functionals compare and hash by
+    identity, so they key that memo even while evaluate is swapped in place
+    (as instrumentation does).
     """
 
     id: str
     evaluate: Callable[[TUGame], BoundVector]
     is_translation_covariant: bool
     is_regular_lower: bool | None = None
+
+    def __call__(self, v: TUGame) -> BoundVector:
+        """evaluate(v), computed once per game."""
+        return v.remember(self, lambda: self.evaluate(v))
+
+    def shifted(self, v: TUGame) -> TUGame:
+        """The game v - self(v), built once per game; v itself when the
+        vector is zero."""
+        x = self(v)
+        if not any(x):
+            return v
+        return v.remember(("shifted", self), lambda: subtract_allocation(v, x))
 
 
 def constant_lower(value: int | Fraction = 1, id: str | None = None) -> BoundFunctional:
@@ -213,7 +231,7 @@ def derived_upper_from_lower(mu_id: Union[str, BoundFunctional]) -> BoundFunctio
     fn = functional(mu_id)
     return BoundFunctional(
         id=f"EtaFrom({fn.id})",
-        evaluate=lambda v: eta_from_lower(v, fn.evaluate(v)),
+        evaluate=lambda v: eta_from_lower(v, fn(v)),
         is_translation_covariant=fn.is_translation_covariant,
         is_regular_lower=None,
     )
@@ -231,7 +249,7 @@ def derived_lower_from_upper(eta_id: Union[str, BoundFunctional]) -> BoundFuncti
         )
     return BoundFunctional(
         id=f"MuFrom({fn.id})",
-        evaluate=lambda v: mu_from_upper_vector(v, fn.evaluate(v)),
+        evaluate=lambda v: mu_from_upper_vector(v, fn(v)),
         is_translation_covariant=True,
         is_regular_lower=True,
     )
@@ -265,7 +283,7 @@ def functional(fn_id: Union[str, BoundFunctional]) -> BoundFunctional:
 
 
 def evaluate_bound(v: TUGame, fn_id: Union[str, BoundFunctional]) -> BoundVector:
-    return functional(fn_id).evaluate(v)
+    return functional(fn_id)(v)
 
 
 # mu^eta for the Milnor bound: the lower side of the chi pair.  Kept out of
@@ -339,10 +357,10 @@ def check_bound_pair(
     Failures are reported as data with witnesses, not raised.
     """
     mu_fn, eta_fn = functional(mu_id), functional(eta_id)
-    mu, eta = mu_fn.evaluate(v), eta_fn.evaluate(v)
-    shifted = subtract_allocation(v, mu)
-    mu_shift = mu_fn.evaluate(shifted)
-    eta_shift = eta_fn.evaluate(shifted)
+    mu, eta = mu_fn(v), eta_fn(v)
+    shifted = mu_fn.shifted(v)
+    mu_shift = mu_fn(shifted)
+    eta_shift = eta_fn(shifted)
     zero = (Fraction(0),) * v.n
     diff = tuple(e - m for e, m in zip(eta, mu))
 
@@ -370,10 +388,9 @@ def is_regular_lower(
 ) -> CheckOutcome:
     """Check mu(v - mu(v)) = 0 for a game in the lower-bound class of mu."""
     fn = functional(mu_id)
-    mu = fn.evaluate(v)
-    if sum(mu) > v.total:
+    if sum(fn(v)) > v.total:
         raise NotInClass(f"B_l({fn.id})")
-    shifted_mu = fn.evaluate(subtract_allocation(v, mu))
+    shifted_mu = fn(fn.shifted(v))
     zero = (Fraction(0),) * v.n
     witness = first_difference(shifted_mu, zero)
     return CheckOutcome(
@@ -390,9 +407,9 @@ def check_translation_covariance(
 ) -> CheckOutcome:
     """Check fn(v + x) = fn(v) + x exactly for the given probe x."""
     fn = functional(fn_id)
-    x = tuple(Fraction(c) for c in x)
-    lhs = fn.evaluate(transform(v, 1, x))
-    rhs = tuple(a + b for a, b in zip(fn.evaluate(v), x))
+    x = tuple(map(as_fraction, x))
+    lhs = fn(transform(v, 1, x))
+    rhs = tuple(a + b for a, b in zip(fn(v), x))
     witness = first_difference(lhs, rhs)
     return CheckOutcome(
         check_id=f"translation_covariance:{fn.id}",
@@ -431,7 +448,7 @@ def membership(
 ) -> MembershipReport:
     """Exact enumeration of all class membership flags for the pair."""
     mu_fn, eta_fn = functional(mu_id), functional(eta_id)
-    mu, eta = mu_fn.evaluate(v), eta_fn.evaluate(v)
+    mu, eta = mu_fn(v), eta_fn(v)
     vN = v.total
     in_lower = sum(mu) <= vN
     in_balanced = in_lower and vN <= sum(eta)

@@ -9,8 +9,12 @@
                      [--format table|json]
 
 Exit codes: 0 success, 1 domain error (game outside a value's class, player
-cap exceeded, failing check suite), 2 parse error, unreadable input, or an
-invalid sampler flag or COOPVALS_MAX_PLAYERS setting.
+cap exceeded, failing check suite), 2 parse error, unreadable input, an
+invalid sampler flag or COOPVALS_MAX_PLAYERS setting, or a result with more
+digits than Python converts to text (sys.get_int_max_str_digits(), 4300 by
+default; the limit guards against quadratic-time conversion and is not
+lifted).  Output is written only once a command has finished, so a command
+that fails prints no partial result.
 Rationals are printed as p/q strings; table mode adds decimal
 approximations.  All JSON output is byte-deterministic for a fixed input
 and seed.
@@ -19,6 +23,8 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -135,7 +141,7 @@ def cmd_bounds(args) -> int:
     v = _load_game(args.game)
     mu_id, eta_id = PAIR_MAP[args.pair]
     mu_fn, eta_fn = bounds.functional(mu_id), bounds.functional(eta_id)
-    mu, eta = mu_fn.evaluate(v), eta_fn.evaluate(v)
+    mu, eta = mu_fn(v), eta_fn(v)
     membership = bounds.membership(v, mu_fn, eta_fn)
 
     if args.format == "json":
@@ -288,14 +294,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except DomainError as exc:
         print(str(exc))
         return 1
     except (CoopvalsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # str() of an int past the interpreter's digit limit; nothing else
+        # in the package raises a bare ValueError.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            f"error: a result has more than {sys.get_int_max_str_digits()} "
+            "digits, the most Python converts to text",
+            file=sys.stderr,
+        )
+        return 2
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -20,7 +20,9 @@ from functools import cached_property
 from itertools import chain
 from math import lcm
 from operator import add, ge, sub
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import (
+    Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Tuple, TypeVar, Union,
+)
 
 from .errors import (
     CoopvalsError,
@@ -41,6 +43,7 @@ __all__ = [
     "TUGame",
     "ClassReport",
     "player_cap",
+    "as_fraction",
     "coalition",
     "members",
     "coalition_size",
@@ -72,6 +75,7 @@ SCALE_CAP = 1 << 256
 # Inputs accepted wherever a rational number is expected.
 RationalLike = Union[Fraction, int, str]
 Allocation = Tuple[Fraction, ...]
+T = TypeVar("T")
 
 
 def player_cap() -> int:
@@ -90,6 +94,11 @@ def player_cap() -> int:
             f"COOPVALS_MAX_PLAYERS must be a positive integer, got {raw!r}"
         )
     return cap
+
+
+def as_fraction(x: RationalLike) -> Fraction:
+    """x as a Fraction, without rebuilding one that already is."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def coalition(players: Iterable[int]) -> int:
@@ -161,7 +170,13 @@ class TUGame:
     """A TU-game: player count n and a dense worth table over all coalitions.
 
     worths[S] is v(S) for the bit-pattern coalition S; worths[0] must be 0.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads.  Besides the
+    fields, a game carries caches of what is derived from it: scaled, and
+    memo, which holds each bound vector, named value and shifted game the
+    first time it is computed (see remember).  Every entry is a pure
+    function of the fields, so two threads filling one entry at once both
+    compute the same result and either write leaves it correct.  The caches
+    take no part in ==, hash or pickling.
     """
 
     n: int
@@ -174,7 +189,7 @@ class TUGame:
         cap = player_cap()
         if self.n > cap:
             raise PlayerCountExceeded(f"n={self.n} exceeds the player cap {cap}")
-        table = tuple(Fraction(w) for w in self.worths)
+        table = tuple(map(as_fraction, self.worths))
         if len(table) != 1 << self.n:
             raise CoopvalsError(
                 f"worth table must have {1 << self.n} entries, got {len(table)}"
@@ -203,6 +218,25 @@ class TUGame:
     def worth(self, S: int) -> Fraction:
         _check_coalition(S, self.n)
         return self.worths[S]
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only: memo entries may hold unpicklable lambdas.
+        return {k: self.__dict__[k] for k in ("n", "worths", "labels")}
+
+    @cached_property
+    def memo(self) -> dict:
+        """Results derived from this game, keyed by what derived them: a bound
+        functional (by identity), ("shifted", functional), or a value name.
+        Keys never come from caller-supplied vectors, so the memo is bounded
+        by the functionals and values in the program."""
+        return {}
+
+    def remember(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """memo[key], computed by compute() on first use."""
+        memo = self.memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     @cached_property
     def scaled(self) -> Tuple[int, tuple]:

@@ -8,17 +8,17 @@ A game file is a UTF-8 JSON object:
       "worths": {"1": 1, "3": 2, "1,2": "7/2", "1,2,3": "2.5"}
     }
 
-Coalition keys list 1-based player indices, comma separated and strictly
-increasing.  Worths may be integers, "p/q" strings with q > 0, or decimal
-strings: an optional sign, digits, then "/" and digits or an optional "."
-and digits and exponent, as in "-2.5" or "3e-2"; nothing else, no spaces.
-JSON number literals with a fractional part are converted from their decimal
-spelling, never through a binary float.  A literal, JSON numbers included,
-has at most MAX_LITERAL_LENGTH characters, and an exponent counts as that
-many more.  Missing coalitions
-default to 0.  Machine pipelines may instead supply "worths_by_mask", a
-dense list of 2^players rationals indexed by coalition bitmask; exactly
-one of the two keys must be present.
+Coalition keys list 1-based player indices in ASCII digits, comma separated
+and strictly increasing, with nothing else in the key.  Worths may be
+integers, "p/q" strings with q > 0, or decimal strings: an optional sign,
+digits, then "/" and digits or an optional "." and digits and exponent, as
+in "-2.5" or "3e-2"; nothing else, no spaces.  JSON number literals with a
+fractional part are converted from their decimal spelling, never through a
+binary float.  A literal, JSON numbers included, has at most
+MAX_LITERAL_LENGTH characters, and an exponent counts as that many more.
+Missing coalitions default to 0.  Machine pipelines may instead supply
+"worths_by_mask", a dense list of 2^players rationals indexed by coalition
+bitmask; exactly one of the two keys must be present.
 
 Malformed structure raises ParseError.  Well-formed files violating game
 constraints (player cap, nonzero empty worth) raise the matching
@@ -37,7 +37,7 @@ from .game import TUGame, build_game, members, player_cap
 
 __all__ = ["parse_game_file", "serialise_game", "game_doc"]
 
-_KEY_RE = re.compile(r"^[1-9]\d*(,[1-9]\d*)*$")
+_KEY_RE = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*", re.ASCII)
 
 _LITERAL_RE = re.compile(
     r"[-+]?\d+(?:/\d*[1-9]\d*|(?:\.\d+)?(?:[eE]([-+]?\d+))?)", re.ASCII
@@ -86,7 +86,7 @@ def _to_fraction(value, where: str) -> Fraction:
 
 
 def _key_to_mask(key: str, n: int) -> int:
-    if not isinstance(key, str) or not _KEY_RE.match(key):
+    if not isinstance(key, str) or not _KEY_RE.fullmatch(key):
         raise ParseError(f"bad coalition key {key!r}")
     mask = 0
     previous = 0

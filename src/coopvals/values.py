@@ -18,9 +18,11 @@ Egalitarian value, and the KM value; each reports the bound vectors it
 used and its class guard failures as NotInClass errors.
 
 The functions here only compute: they guard their inputs and trust the
-registry flags.  The identities that tie the named formulas to the engine
-(closed forms, agreeing routes) are checked by the test suite and by the
-verification suite in coopvals.verify, not on every call.
+registry flags, and each named value is computed once per game and read
+back from the game's memo after that.  The identities that tie the named
+formulas to the engine (closed forms, agreeing routes) are checked by the
+test suite and by the verification suite in coopvals.verify, not on every
+call.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
     NotInClass,
     NotRegularLowerBound,
 )
-from .game import TUGame, individual_worths
+from .game import TUGame, as_fraction, individual_worths
 
 __all__ = [
     "ValueResult",
@@ -78,16 +80,16 @@ class ValueResult:
     route: str | None = None
 
     def __post_init__(self) -> None:
-        alloc = tuple(Fraction(x) for x in self.allocation)
-        lower = tuple(Fraction(x) for x in self.lower_used)
-        upper = tuple(Fraction(x) for x in self.upper_used)
+        alloc = tuple(map(as_fraction, self.allocation))
+        lower = tuple(map(as_fraction, self.lower_used))
+        upper = tuple(map(as_fraction, self.upper_used))
         if not (len(alloc) == len(lower) == len(upper)):
             raise CoopvalsError("allocation and bound vectors differ in length")
         object.__setattr__(self, "allocation", alloc)
         object.__setattr__(self, "lower_used", lower)
         object.__setattr__(self, "upper_used", upper)
         if self.lam is not None:
-            lam = Fraction(self.lam)
+            lam = as_fraction(self.lam)
             object.__setattr__(self, "lam", lam)
             mix = tuple(
                 lam * u + (1 - lam) * m for m, u in zip(lower, upper)
@@ -97,7 +99,7 @@ class ValueResult:
 
 
 def _as_vector(x: Sequence, n: int, what: str) -> BoundVector:
-    vec = tuple(Fraction(c) for c in x)
+    vec = tuple(map(as_fraction, x))
     if len(vec) != n:
         raise CoopvalsError(f"{what} must have {n} components, got {len(vec)}")
     return vec
@@ -151,7 +153,7 @@ def lbc_value(
     fn = functional(mu_id)
     if fn.is_regular_lower is not True:
         raise NotRegularLowerBound(f"{fn.id} is not flagged as a regular lower bound")
-    mu = fn.evaluate(v)
+    mu = fn(v)
     if sum(mu) > v.total:
         raise NotInClass(f"B_l({fn.id})")
     eta = bounds.eta_from_lower(v, mu)
@@ -176,7 +178,7 @@ def ubc_value(
         raise NonCovariantUpperBound(
             f"{fn.id} is not translation covariant; cannot derive a lower bound"
         )
-    eta = fn.evaluate(v)
+    eta = fn(v)
     if not bounds.is_strongly_upper_bounded(v, eta):
         raise NotInClass(class_name or f"B_u({fn.id})")
     mu = bounds.mu_from_upper_vector(v, eta)
@@ -189,9 +191,9 @@ def tau(v: TUGame) -> ValueResult:
     Defined on semi-balanced games, which are exactly the games strongly
     bounded by the marginal vector.
     """
-    return ubc_value(
+    return v.remember("tau", lambda: ubc_value(
         v, "MarginalContributions", value_id="tau", class_name="semi-balanced"
-    )
+    ))
 
 
 def chi(v: TUGame) -> ValueResult:
@@ -203,7 +205,7 @@ def chi(v: TUGame) -> ValueResult:
     """
     if sum(individual_worths(v)) > v.total:
         raise NotInClass("weakly-essential")
-    return ubc_value(v, "MilnorUpper", value_id="chi")
+    return v.remember("chi", lambda: ubc_value(v, "MilnorUpper", value_id="chi"))
 
 
 def gately(v: TUGame, *, strict: bool = False) -> ValueResult:
@@ -213,6 +215,10 @@ def gately(v: TUGame, *, strict: bool = False) -> ValueResult:
     the game is essential and sum(M - nu) > 0; strict mode additionally
     rejects games where some nu_i exceeds M_i, keeping bracketing honest.
     """
+    return v.remember(("gately", strict), lambda: _gately(v, strict))
+
+
+def _gately(v: TUGame, strict: bool) -> ValueResult:
     nu = individual_worths(v)
     M = bounds.marginal_contributions(v)
     vN = v.total
@@ -239,7 +245,7 @@ def gately(v: TUGame, *, strict: bool = False) -> ValueResult:
 
 def cis(v: TUGame) -> ValueResult:
     """CIS_i = v_i + (v(N) - sum_j v_j) / n, on games with imputations."""
-    return lbc_value(v, "IndividualWorths", value_id="cis")
+    return v.remember("cis", lambda: lbc_value(v, "IndividualWorths", value_id="cis"))
 
 
 def pansc(v: TUGame) -> ValueResult:
@@ -251,6 +257,10 @@ def pansc(v: TUGame) -> ValueResult:
     reported lam = v(N)/sum(M) then exceeds 1 and the result agrees with
     the bound-pair engine exactly on the bracketed subclass.
     """
+    return v.remember("pansc", lambda: _pansc(v))
+
+
+def _pansc(v: TUGame) -> ValueResult:
     M = bounds.marginal_contributions(v)
     vN = v.total
     if vN < 0:
@@ -273,7 +283,9 @@ def pansc(v: TUGame) -> ValueResult:
 
 def egalitarian(v: TUGame) -> ValueResult:
     """The equal split v(N)/n, defined for v(N) >= 0."""
-    return lbc_value(v, "ZeroLower", value_id="egalitarian")
+    return v.remember(
+        "egal", lambda: lbc_value(v, "ZeroLower", value_id="egalitarian")
+    )
 
 
 def eansc(v: TUGame) -> ValueResult:
@@ -285,6 +297,10 @@ def eansc(v: TUGame) -> ValueResult:
     n = 1.  The result is computed through the first route listed; the
     verification suite rebuilds every listed route and compares.
     """
+    return v.remember("eansc", lambda: _eansc(v))
+
+
+def _eansc(v: TUGame) -> ValueResult:
     M = bounds.marginal_contributions(v)
     vN, s_M = v.total, sum(M)
     routes = []
@@ -305,9 +321,9 @@ def km(v: TUGame) -> ValueResult:
     Total on all games: the telescoping chain argument puts v(N) between
     the two bound sums for every game.
     """
-    return compromise(
-        v, bounds.kikuta_lower(v), bounds.milnor_upper(v), value_id="km"
-    )
+    return v.remember("km", lambda: compromise(
+        v, functional("KikutaLower")(v), functional("MilnorUpper")(v), value_id="km"
+    ))
 
 
 # CLI and verification registries.  AXIOM_PAIRS names the (mu, eta) pair the

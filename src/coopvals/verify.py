@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence, Tuple
 
 from . import bounds, values
-from .bounds import BoundVector, CheckOutcome, Witness, first_difference, functional
+from .bounds import BoundFunctional, CheckOutcome, Witness, first_difference, functional
 from .errors import (
     CoopvalsError,
     DomainError,
@@ -41,7 +41,6 @@ from .game import (
     dual,
     individual_worths,
     player_cap,
-    subtract_allocation,
     transform,
     zero_normalise,
     zeta,
@@ -85,14 +84,9 @@ def _value(value_id: str) -> Callable[[TUGame], values.ValueResult]:
         raise CoopvalsError(f"unknown value id {value_id!r}") from None
 
 
-def _pair_lower(value_id: str, v: TUGame) -> BoundVector:
-    mu_id, _ = values.AXIOM_PAIRS[value_id]
-    return functional(mu_id).evaluate(v)
-
-
-def _pair_upper(value_id: str, v: TUGame) -> BoundVector:
-    _, eta_id = values.AXIOM_PAIRS[value_id]
-    return functional(eta_id).evaluate(v)
+def _pair(value_id: str) -> Tuple[BoundFunctional, BoundFunctional]:
+    mu_id, eta_id = values.AXIOM_PAIRS[value_id]
+    return functional(mu_id), functional(eta_id)
 
 
 def _outcome(check_id: str, witness: Witness | None) -> CheckOutcome:
@@ -122,10 +116,11 @@ def check_axiom(
         return _outcome(check_id, witness)
 
     if axiom_id == "MinimalRights":
-        mu = _pair_lower(value_id, v)
+        mu_fn, _ = _pair(value_id)
+        mu = mu_fn(v)
         result = f(v)
         try:
-            inner = f(subtract_allocation(v, mu))
+            inner = f(mu_fn.shifted(v))
         except NotInClass as exc:
             raise PreconditionNotMet(
                 f"shifted game leaves the class of {value_id}: {exc}"
@@ -134,10 +129,10 @@ def check_axiom(
         return _outcome(check_id, first_difference(result.allocation, rhs))
 
     if axiom_id == "RestrictedProportionality":
-        mu = _pair_lower(value_id, v)
-        if any(c != 0 for c in mu):
+        mu_fn, eta_fn = _pair(value_id)
+        if any(c != 0 for c in mu_fn(v)):
             raise PreconditionNotMet(f"mu(v) != 0 for {value_id}")
-        eta = _pair_upper(value_id, v)
+        eta = eta_fn(v)
         alloc = f(v).allocation
         s_alloc, s_eta = sum(alloc), sum(eta)
         lhs = tuple(a * s_eta for a in alloc)
@@ -145,8 +140,8 @@ def check_axiom(
         return _outcome(check_id, first_difference(lhs, rhs))
 
     if axiom_id == "EgalitarianDivision":
-        mu = _pair_lower(value_id, v)
-        if any(c != 0 for c in mu):
+        mu_fn, _ = _pair(value_id)
+        if any(c != 0 for c in mu_fn(v)):
             raise PreconditionNotMet(f"mu(v) != 0 for {value_id}")
         alloc = f(v).allocation
         rhs = (alloc[0],) * v.n
@@ -626,12 +621,10 @@ def run_suite_on_games(
             (PreconditionNotMet, TooFewPlayers),
         ))
         prop = "EgalitarianDivision" if vid in values.LBC_FAMILY else "RestrictedProportionality"
-        mu_fn = functional(values.AXIOM_PAIRS[vid][0])
+        mu_fn, _ = _pair(vid)
         checks.append(_tally(
             f"axiom:{prop}:{vid}", applies,
-            lambda v: check_axiom(
-                prop, vid, subtract_allocation(v, mu_fn.evaluate(v))
-            ).witness,
+            lambda v: check_axiom(prop, vid, mu_fn.shifted(v)).witness,
             (PreconditionNotMet, NotInClass, TooFewPlayers),
         ))
 

@@ -162,3 +162,41 @@ def in_b_hat(table):
         for s in subsets(everyone)
         if s
     )
+
+
+def compromise_point(lower, upper, total):
+    """The point of the segment from lower to upper whose coordinates sum to
+    total, for vectors keyed by player; lower itself when the two coincide."""
+    if lower == upper:
+        return dict(lower)
+    low, high = sum(lower.values()), sum(upper.values())
+    weight = Fraction(total - low, high - low)
+    return {i: lower[i] + weight * (upper[i] - lower[i]) for i in lower}
+
+
+def km_vector(table):
+    """The compromise of the least and the largest marginal contributions."""
+    kikuta, milnor = extreme_marginal_vectors(table)
+    return compromise_point(kikuta, milnor, table[frozenset(players_of(table))])
+
+
+def chi_vector(table):
+    """The compromise of mu^eta and eta for eta the largest marginal
+    contributions; None when the game is not weakly essential, that is when
+    the lower vector pays out more than v(N)."""
+    total = table[frozenset(players_of(table))]
+    _, milnor = extreme_marginal_vectors(table)
+    lower = mu_from_upper(table, milnor)
+    if sum(lower.values()) > total:
+        return None
+    return compromise_point(lower, milnor, total)
+
+
+def eansc_vector(table):
+    """Each player's marginal contribution plus an equal share of what the
+    marginal vector leaves over (or overshoots) of v(N)."""
+    everyone = players_of(table)
+    marginal = marginal_vector(table)
+    left_over = table[frozenset(everyone)] - sum(marginal.values())
+    share = Fraction(left_over, len(everyone))
+    return {i: marginal[i] + share for i in everyone}

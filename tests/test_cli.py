@@ -318,3 +318,30 @@ def test_check_has_no_suite_flag(capsys):
         main(["check", "--sample", "--suite"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "players, key",
+    [(11, "1١"), (2, "1\n"), (2, "1,2\n")],
+    ids=["arabic-indic-digit", "trailing-newline", "pair-trailing-newline"],
+)
+def test_bad_coalition_key_exits_2(players, key, game_file, capsys):
+    # "1١" would otherwise read as player 11.
+    path = game_file({"players": players, "worths": {key: 1}})
+    assert main(["compute", "--game", path, "--value", "cis"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad coalition key")
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_result_past_the_digit_limit_exits_2(fmt, game_file, capsys):
+    # Each worth is a short literal, but the 255 coprime denominators near
+    # 10^299 give v(N) and the values about 76000 digits.
+    worths = ["0"] + [f"1/{10**299 + 2 * k + 1}" for k in range(1, 256)]
+    path = game_file({"players": 8, "worths_by_mask": worths})
+    assert main(["report", "--game", path, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a result has more than")
+    assert "Traceback" not in captured.err

@@ -8,15 +8,20 @@ pairwise coprime Fermat numbers 2^(2^k) + 1, so both sides of the cap occur.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from coopvals import (
+    NotInClass,
     TUGame,
+    chi,
     classify,
+    eansc,
     is_strongly_upper_bounded,
     kikuta_lower,
+    km,
     membership,
     milnor_upper,
     transform,
@@ -168,3 +173,19 @@ def test_transform_matches_coalition_sums(v, data):
         scale * v.worths[S] + sum((shift[i] for i in _players(S)), Fraction(0))
         for S in range(1 << v.n)
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_games)
+# Singleton worths exceed v(N) by 1/2: not weakly essential, so no chi.
+@example(TUGame(2, (0, 1, 1, Fraction(3, 2))))
+def test_chi_km_eansc_match_oracles(v):
+    table = oracles.game_from_tugame(v)
+    assert km(v).allocation == _vec(oracles.km_vector(table))
+    assert eansc(v).allocation == _vec(oracles.eansc_vector(table))
+    expected = oracles.chi_vector(table)
+    if expected is None:
+        with pytest.raises(NotInClass):
+            chi(v)
+    else:
+        assert chi(v).allocation == _vec(expected)
