@@ -16,7 +16,8 @@ default; the limit guards against quadratic-time conversion and is not
 lifted).  Output is written only once a command has finished, so a command
 that fails prints no partial result.
 Rationals are printed as p/q strings; table mode adds decimal
-approximations.  All JSON output is byte-deterministic for a fixed input
+approximations to six significant digits, computed exactly past the float
+range.  All JSON output is byte-deterministic for a fixed input
 and seed.
 """
 
@@ -24,10 +25,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 
 from . import bounds, values, verify
 from .errors import CoopvalsError, DomainError
@@ -53,8 +56,32 @@ def _vec(xs) -> str:
     return " ".join(str(x) for x in xs)
 
 
+def _approx_one(x: Fraction) -> str:
+    try:
+        return f"{float(x):.6g}"
+    except OverflowError:
+        return _scientific(x)
+
+
+def _scientific(x: Fraction) -> str:
+    """x to six significant digits in scientific notation, spelled as
+    format(float, ".6g") spells numbers from 10^6 up ("1.5e+300"), but exact
+    and for any size."""
+    magnitude = abs(x)
+    # The exponent e with 10^e <= |x| < 10^(e + 1), from the digit counts.
+    e = len(str(magnitude.numerator)) - len(str(magnitude.denominator))
+    if magnitude < Fraction(10) ** e:
+        e -= 1
+    digits = round(magnitude / Fraction(10) ** (e - 5))  # ties to even
+    if digits == 10**6:
+        digits, e = 10**5, e + 1
+    text = str(digits)
+    mantissa = f"{text[0]}.{text[1:]}".rstrip("0").rstrip(".")
+    return f"{'-' if x < 0 else ''}{mantissa}e{e:+03d}"
+
+
 def _approx(xs) -> str:
-    return " ".join(f"{float(x):.6g}" for x in xs)
+    return " ".join(map(_approx_one, xs))
 
 
 def _json_vec(xs):
@@ -250,7 +277,9 @@ def _add_sampler_flags(parser, default_count: int) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="coopvals",
         description="Exact compromise values for cooperative TU-games.",

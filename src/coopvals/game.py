@@ -303,7 +303,7 @@ def build_game(
     seen = set()
     pending = []
     for S, w in items:
-        w = Fraction(w)
+        w = as_fraction(w)
         if S in seen:
             raise DuplicateCoalition(f"coalition {bin(S)} given twice")
         seen.add(S)

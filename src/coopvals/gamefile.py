@@ -30,17 +30,19 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import compress
 from typing import Union
 
 from .errors import ParseError, PlayerCountExceeded, TooFewPlayers
-from .game import TUGame, build_game, members, player_cap
+from .game import TUGame, as_fraction, player_cap
 
 __all__ = ["parse_game_file", "serialise_game", "game_doc"]
 
 _KEY_RE = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*", re.ASCII)
 
+# Groups: integer part, "/" denominator, "." fraction digits, exponent.
 _LITERAL_RE = re.compile(
-    r"[-+]?\d+(?:/\d*[1-9]\d*|(?:\.\d+)?(?:[eE]([-+]?\d+))?)", re.ASCII
+    r"([-+]?\d+)(?:/(\d*[1-9]\d*)|(\.\d+)?(?:[eE]([-+]?\d+))?)", re.ASCII
 )
 MAX_LITERAL_LENGTH = 1000
 
@@ -60,29 +62,55 @@ def _no_nonfinite(token):
     raise ParseError(f"non-finite number {token!r} is not a rational")
 
 
-def _literal(text: str, where: str) -> Fraction:
-    """The exact value of a rational literal in the documented grammar."""
+def _place(where) -> str:
+    """The place named in an error message.  Per-worth callers pass a (table,
+    key) pair, so the place is spelled only when there is an error."""
+    return where if isinstance(where, str) else f"{where[0]}[{where[1]!r}]"
+
+
+def _checked_literal(text: str, where) -> re.Match:
+    """The match of a literal in the documented grammar, within the cap."""
     match = _LITERAL_RE.fullmatch(text)
     if match is None:
-        raise ParseError(f"{where}: {text[:40]!r} is not a rational literal")
-    # The length test comes first: it keeps int() off oversized exponents.
+        raise ParseError(f"{_place(where)}: {text[:40]!r} is not a rational literal")
+    # The length test comes first: it keeps int() off oversized literals and
+    # exponents.
     if len(text) > MAX_LITERAL_LENGTH or (
-        match[1] and abs(int(match[1])) > MAX_LITERAL_LENGTH - len(text)
+        match[4] and abs(int(match[4])) > MAX_LITERAL_LENGTH - len(text)
     ):
         raise ParseError(
-            f"{where}: literal longer than {MAX_LITERAL_LENGTH} characters"
+            f"{_place(where)}: literal longer than {MAX_LITERAL_LENGTH} characters"
         )
+    return match
+
+
+def _literal(text: str, where) -> Fraction:
+    """The exact value of a rational literal in the documented grammar."""
+    whole, denominator, decimals, exponent = _checked_literal(text, where).groups()
+    if denominator is not None:
+        return Fraction(int(whole), int(denominator))
+    if decimals is None and exponent is None:
+        return Fraction(int(whole))
     return Fraction(text)
 
 
-def _to_fraction(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+def _json_int(token: str) -> int:
+    _checked_literal(token, "JSON integer")
+    return int(token)
+
+
+def _to_fraction(value, where) -> Fraction:
+    # Strings first: they are the common case, and testing them against
+    # Fraction would take the slow abstract-class path.
     if isinstance(value, str):
         return _literal(value, where)
-    raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
+    if isinstance(value, bool):
+        raise ParseError(f"{_place(where)}: expected a rational, got a boolean")
+    if isinstance(value, (int, Fraction)):
+        return as_fraction(value)
+    raise ParseError(
+        f"{_place(where)}: expected a rational, got {type(value).__name__}"
+    )
 
 
 def _key_to_mask(key: str, n: int) -> int:
@@ -115,7 +143,7 @@ def parse_game_file(data: Union[bytes, str]) -> TUGame:
     try:
         doc = json.loads(
             data,
-            parse_int=lambda token: int(_literal(token, "JSON integer")),
+            parse_int=_json_int,
             parse_float=lambda token: _literal(token, "JSON number"),
             parse_constant=_no_nonfinite,
             object_pairs_hook=_no_duplicate_keys,
@@ -157,24 +185,41 @@ def parse_game_file(data: Union[bytes, str]) -> TUGame:
         table = doc["worths"]
         if not isinstance(table, dict):
             raise ParseError("'worths' must be an object")
-        entries = []
+        # Valid keys are distinct (JSON keys are unique and each coalition
+        # has one spelling) and never name the empty coalition.
+        bits = {str(i + 1): 1 << i for i in range(n)}
+        worths = [Fraction(0)] * (1 << n)
         for key, value in table.items():
-            mask = _key_to_mask(key, n)
-            entries.append((mask, _to_fraction(value, f"worths[{key!r}]")))
-        return build_game(n, entries, labels=labels)
+            mask = 0
+            for token in key.split(","):
+                bit = bits.get(token, 0)
+                if bit <= mask:  # not a player, or not above the ones before
+                    _key_to_mask(key, n)  # raises the ParseError
+                mask |= bit
+            worths[mask] = _to_fraction(value, ("worths", key))
+    else:
+        dense = doc["worths_by_mask"]
+        if not isinstance(dense, list):
+            raise ParseError("'worths_by_mask' must be a list")
+        if len(dense) != (1 << n):
+            raise ParseError(
+                f"'worths_by_mask' must have {1 << n} entries, got {len(dense)}"
+            )
+        worths = [
+            _to_fraction(value, ("worths_by_mask", index))
+            for index, value in enumerate(dense)
+        ]
+    return TUGame(n, tuple(worths), None if labels is None else tuple(labels))
 
-    dense = doc["worths_by_mask"]
-    if not isinstance(dense, list):
-        raise ParseError("'worths_by_mask' must be a list")
-    if len(dense) != (1 << n):
-        raise ParseError(
-            f"'worths_by_mask' must have {1 << n} entries, got {len(dense)}"
-        )
-    worths = tuple(
-        _to_fraction(value, f"worths_by_mask[{index}]")
-        for index, value in enumerate(dense)
-    )
-    return TUGame(n, worths, None if labels is None else tuple(labels))
+
+def _key_table(first: int, stop: int) -> list:
+    """Keys of the coalitions of players first .. stop - 1 (0-based), indexed
+    by their bit pattern shifted down by first; "" for the empty one."""
+    keys = [""]
+    for i in range(first, stop):
+        token = str(i + 1)
+        keys += [token] + [f"{key},{token}" for key in keys[1:]]
+    return keys
 
 
 def game_doc(v: TUGame) -> dict:
@@ -182,12 +227,16 @@ def game_doc(v: TUGame) -> dict:
     doc: dict = {"players": v.n}
     if v.labels is not None:
         doc["labels"] = list(v.labels)
+    # Each key joins the key of its low half with the key of its high half,
+    # from two tables of about 2^(n/2) keys each.
+    half = v.n // 2
+    low, high = _key_table(0, half), _key_table(half, v.n)
+    low_mask = len(low) - 1
     worths = {}
-    for S in range(1, 1 << v.n):
-        w = v.worths[S]
-        if w != 0:
-            key = ",".join(str(i + 1) for i in members(S))
-            worths[key] = str(w)
+    for S in compress(range(1 << v.n), v.worths):  # S with v(S) != 0
+        low_key, high_key = low[S & low_mask], high[S >> half]
+        key = f"{low_key},{high_key}" if low_key and high_key else low_key or high_key
+        worths[key] = str(v.worths[S])
     doc["worths"] = worths
     return doc
 

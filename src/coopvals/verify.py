@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Any, Callable, Iterable, Sequence, Tuple
 
 from . import bounds, values
@@ -37,6 +38,7 @@ from .errors import (
 )
 from .game import (
     TUGame,
+    additive_table,
     classify,
     dual,
     individual_worths,
@@ -257,11 +259,16 @@ class SamplerConfig:
             )
 
 
+def _draw_pair(
+    rng: random.Random, low: int, high: int, config: SamplerConfig
+) -> Tuple[int, int]:
+    """(p, q): p drawn from [low, high], then q from [1, denominator_max]."""
+    return rng.randint(low, high), rng.randint(1, config.denominator_max)
+
+
 def _draw_fraction(rng: random.Random, config: SamplerConfig) -> Fraction:
-    return Fraction(
-        rng.randint(config.numerator_min, config.numerator_max),
-        rng.randint(1, config.denominator_max),
-    )
+    p, q = _draw_pair(rng, config.numerator_min, config.numerator_max, config)
+    return Fraction(p, q)
 
 
 def _draw_any(rng: random.Random, config: SamplerConfig, n: int) -> TUGame:
@@ -274,17 +281,19 @@ def _draw_convex(rng: random.Random, config: SamplerConfig, n: int) -> TUGame:
     # Nonnegative unanimity combination plus an additive shift: convex by
     # construction since unanimity games are convex and the cone is closed
     # under nonnegative sums and additive translations.  The combination is
-    # the zeta transform of the coefficients, summed on their scaled ints.
+    # the zeta transform of the coefficients; it and the shift's additive
+    # table are summed as ints over one common denominator L of every draw.
     hi = max(config.numerator_max, 1)
-    coeffs = (0, *(
-        Fraction(rng.randint(0, hi), rng.randint(1, config.denominator_max))
-        for _ in range((1 << n) - 1)
-    ))
-    shift = tuple(_draw_fraction(rng, config) for _ in range(n))
-    L, scaled = TUGame(n, coeffs).scaled
-    table = list(scaled)
+    coeffs = [_draw_pair(rng, 0, hi, config) for _ in range((1 << n) - 1)]
+    shift = [
+        _draw_pair(rng, config.numerator_min, config.numerator_max, config)
+        for _ in range(n)
+    ]
+    L = lcm(*{q for _, q in coeffs + shift})
+    table = [0] + [p * (L // q) for p, q in coeffs]
     zeta(table)
-    return transform(TUGame(n, tuple(Fraction(t, L) for t in table)), 1, shift)
+    shifts = additive_table([p * (L // q) for p, q in shift])
+    return TUGame(n, tuple(Fraction(t + x, L) for t, x in zip(table, shifts)))
 
 
 def _accepts(class_filter: str, v: TUGame) -> bool:

@@ -6,6 +6,7 @@ Fractions.  They exist so the tests can cross-check the bitmask
 implementation against a second, slower derivation of the same quantities.
 """
 
+import random
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -200,3 +201,41 @@ def eansc_vector(table):
     left_over = table[frozenset(everyone)] - sum(marginal.values())
     share = Fraction(left_over, len(everyone))
     return {i: marginal[i] + share for i in everyone}
+
+
+def convex_sample(seed, count, n_min, n_max, numerator_min, numerator_max,
+                  denominator_max):
+    """The games of the seeded convex sampler, from the same random.Random
+    calls in the same order.  Per game: the player count; then, for each
+    nonempty coalition in the order of its bit pattern (player p is bit
+    p - 1), a coefficient p/q with p in [0, max(numerator_max, 1)] and q in
+    [1, denominator_max]; then, per player, a shift p/q with p in
+    [numerator_min, numerator_max].  v(S) sums the coefficients of the
+    nonempty T within S and the shifts of the members of S."""
+    rng = random.Random(seed)
+    high = max(numerator_max, 1)
+    games = []
+    for _ in range(count):
+        n = rng.randint(n_min, n_max)
+        players = range(1, n + 1)
+        order = [
+            frozenset(p for p in players if mask >> (p - 1) & 1)
+            for mask in range(1 << n)
+        ]
+        coefficient = {
+            S: Fraction(rng.randint(0, high), rng.randint(1, denominator_max))
+            for S in order[1:]
+        }
+        shift = {
+            p: Fraction(
+                rng.randint(numerator_min, numerator_max),
+                rng.randint(1, denominator_max),
+            )
+            for p in players
+        }
+        games.append({
+            S: sum((c for T, c in coefficient.items() if T <= S), Fraction(0))
+            + sum((shift[p] for p in S), Fraction(0))
+            for S in order
+        })
+    return games

@@ -1,12 +1,15 @@
 """End-to-end CLI behaviour through main(argv)."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coopvals import classify, parse_game_file
-from coopvals.cli import main
+from coopvals.cli import _scientific, build_parser, main
 
 G6 = {
     "players": 3,
@@ -345,3 +348,64 @@ def test_result_past_the_digit_limit_exits_2(fmt, game_file, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: a result has more than")
     assert "Traceback" not in captured.err
+
+
+HUGE = {"players": 2, "worths": {"1": 1, "2": 1, "1,2": "1e990"}}
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["compute", "--value", "cis"], "approx: 5e+989 5e+989"),
+        (["report"], " (approx 5e+989 5e+989) lambda="),
+        (["bounds", "--pair", "tau"], " (approx 1e+990 1e+990)"),
+    ],
+    ids=["compute", "report", "bounds"],
+)
+def test_table_output_past_the_float_range(argv, line, game_file, capsys):
+    assert main([*argv, "--game", game_file(HUGE)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert line in captured.out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=1e6, allow_infinity=False), st.booleans())
+@example(9999999.7, False)  # rounds up to the next power of ten
+@example(9.9999996e306, True)
+def test_scientific_spelling_matches_float_format(x, negative):
+    # A float's Fraction is its exact value, so both round the same number.
+    x = -x if negative else x
+    assert _scientific(Fraction(x)) == f"{x:.6g}"
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call(game_file, capsys):
+    path = game_file(G8)
+    calls = [
+        ["compute", "--game", path, "--value", "cis"],
+        ["compute", "--game", path, "--value", "nonsense"],
+        ["bounds", "--game", path, "--pair", "km", "--format", "json"],
+        ["sample", "--n", "2", "--count", "2", "--seed", "3"],
+        ["check", "--sample", "--count", "2"],
+        ["report", "--game", path],
+        ["check", "--game", path, "--format", "json"],
+    ]
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(_outcome(argv, capsys))
+    assert alone[1][0] == ("exit", 2)
+    build_parser.cache_clear()
+    parser = build_parser()
+    together = [_outcome(argv, capsys) for argv in calls]
+    assert build_parser() is parser
+    assert together == alone

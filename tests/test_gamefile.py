@@ -1,10 +1,12 @@
 """JSON game file parsing and canonical serialisation."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import games
 from coopvals import (
@@ -12,11 +14,13 @@ from coopvals import (
     ParseError,
     PlayerCountExceeded,
     TooFewPlayers,
+    TUGame,
     build_game,
     game_doc,
     parse_game_file,
     serialise_game,
 )
+from coopvals import gamefile
 
 
 def doc(**kwargs) -> str:
@@ -161,3 +165,93 @@ def test_round_trip_exact(v):
     assert again.n == v.n
     assert again.worths == v.worths
     assert again.labels == v.labels
+
+
+_SIGNS = st.sampled_from(["", "+", "-"])
+_DIGITS = st.text("0123456789", min_size=1, max_size=8)
+# Denominators with at least one nonzero digit, zero padded or not.
+_DENOMINATORS = st.builds(
+    lambda pad, q: "0" * pad + str(q), st.integers(0, 3), st.integers(1, 10**6)
+)
+_EXPONENTS = st.builds(
+    lambda e, sign, k: f"{e}{sign}{k}",
+    st.sampled_from("eE"), _SIGNS, st.integers(0, 400),
+)
+_GRAMMAR_LITERALS = st.one_of(
+    st.builds(lambda s, p: s + p, _SIGNS, _DIGITS),
+    st.builds(lambda s, p, q: f"{s}{p}/{q}", _SIGNS, _DIGITS, _DENOMINATORS),
+    st.builds(
+        lambda s, p, d, e: s + p + d + e,
+        _SIGNS,
+        _DIGITS,
+        st.one_of(st.just(""), _DIGITS.map(lambda d: "." + d)),
+        st.one_of(st.just(""), _EXPONENTS),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRAMMAR_LITERALS)
+@example("+3")
+@example("-0")
+@example("-0/7")
+@example("6/4")
+@example("-010/0020")
+@example("000.500e-01")
+def test_literal_matches_fraction_of_its_text(text):
+    value = gamefile._literal(text, "worth")
+    assert type(value) is Fraction
+    assert value == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["abc", "1/0", "1/00", " 1/2 ", "1_000", "1e50000", "9" * 5000, ".5", "5.", "1/-2"],
+)
+def test_literal_rejections(text):
+    with pytest.raises(ParseError):
+        gamefile._literal(text, "worth")
+
+
+@pytest.mark.parametrize(
+    "players, key, message",
+    [
+        (3, "3,1", "coalition key '3,1' is not strictly increasing"),
+        (3, "1,1", "coalition key '1,1' is not strictly increasing"),
+        (3, "01", "bad coalition key '01'"),
+        (3, "0", "bad coalition key '0'"),
+        (3, "", "bad coalition key ''"),
+        (3, "1, 2", "bad coalition key '1, 2'"),
+        (11, "1١", "bad coalition key '1١'"),
+        (2, "1\n", "bad coalition key '1\\n'"),
+        (3, "4", "coalition key '4' names player 4 of 3"),
+        (
+            3,
+            "1,99999999999999999999999",
+            "coalition key '1,99999999999999999999999' names player "
+            "99999999999999999999999 of 3",
+        ),
+    ],
+)
+def test_bad_coalition_key_messages(players, key, message):
+    text = doc(players=players, worths={"1": 2, key: 1})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_game_file(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == message
+    # Nothing is allocated in proportion to a player number, however large.
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_game_doc_keys_list_members_in_mask_order(n):
+    v = TUGame(n, tuple(range(1 << n)))
+    keys = [
+        ",".join(str(i + 1) for i in range(n) if S >> i & 1) for S in range(1, 1 << n)
+    ]
+    assert list(game_doc(v)["worths"]) == keys
+    assert parse_game_file(serialise_game(v)).worths == v.worths

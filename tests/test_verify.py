@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from coopvals import values
@@ -200,3 +202,20 @@ def test_eansc_route_agreement_catches_a_wrong_allocation(g2, g6, monkeypatch):
     assert row.witness.component == 0
     assert row.witness.lhs == off_by_one(g2).allocation
     assert row.witness.rhs == real(g2).allocation
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    n_max=st.integers(1, 6),
+    numerators=st.lists(st.integers(-12, 12), min_size=2, max_size=2).map(sorted),
+    denominator_max=st.integers(1, 60),
+)
+def test_convex_sampler_matches_reference(seed, n_max, numerators, denominator_max):
+    lo, hi = numerators
+    config = SamplerConfig(
+        n_min=1, n_max=n_max, numerator_min=lo, numerator_max=hi,
+        denominator_max=denominator_max, class_filter="convex", count=3, seed=seed,
+    )
+    drawn = [oracles.game_from_tugame(v) for v in sample_games(config)]
+    assert drawn == oracles.convex_sample(seed, 3, 1, n_max, lo, hi, denominator_max)
