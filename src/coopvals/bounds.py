@@ -46,12 +46,12 @@ from .errors import (
 )
 from .game import (
     TUGame,
-    additive_table,
     as_fraction,
+    excess_table,
     halves,
+    in_class,
     individual_worths,
     marginal_contributions,
-    scaled_with,
     subtract_allocation,
     transform,
 )
@@ -149,15 +149,9 @@ def eta_from_lower(v: TUGame, mu: Sequence[Fraction]) -> BoundVector:
     return tuple(vN - (total - mu_i) for mu_i in mu)
 
 
-def _excess(v: TUGame, eta: Sequence[Fraction]) -> Tuple[int, list, list]:
-    """(L, L*eta, e) with e[S] = L * (v(S) - eta(S)) for every coalition S."""
-    L, W, E = scaled_with(v, eta)
-    return L, E, list(map(sub, W, additive_table(E)))
-
-
 def mu_from_upper_vector(v: TUGame, eta: Sequence[Fraction]) -> BoundVector:
     """mu^eta_i = eta_i + max_{S: i in S} (v(S) - eta(S)) for an evaluated eta."""
-    L, E, excess = _excess(v, eta)
+    L, E, excess = excess_table(v, eta)
     return tuple(
         Fraction(E[i] + max(halves(excess, i)[0]), L) for i in range(v.n)
     )
@@ -438,7 +432,7 @@ class MembershipReport:
 def is_strongly_upper_bounded(v: TUGame, eta: Sequence[Fraction]) -> bool:
     """v(S) <= sum_{i in S} eta_i for every nonempty coalition S."""
     # The empty coalition has excess 0, so it does not move the maximum.
-    return max(_excess(v, eta)[2]) <= 0
+    return max(excess_table(v, eta)[2]) <= 0
 
 
 def membership(
@@ -463,14 +457,13 @@ def membership(
     # excess of v over the vector nu + slack is at most -slack.
     nu = individual_worths(v)
     slack = vN - sum(nu)
-    L, _, excess = _excess(v, [c + slack for c in nu])
+    L, _, excess = excess_table(v, [c + slack for c in nu])
     in_b_hat = max(islice(excess, 1, None)) <= -slack * L
-    in_b_tilde = vN <= sum(marginal_contributions(v))
     return MembershipReport(
         in_balanced=in_balanced,
         in_lower_class=in_lower,
         in_strong_upper=in_strong,
         in_proper_upper=in_proper,
         in_b_hat=in_b_hat,
-        in_b_tilde=in_b_tilde,
+        in_b_tilde=in_class(v, "M-upper"),
     )

@@ -42,6 +42,7 @@ __all__ = [
     "Allocation",
     "TUGame",
     "ClassReport",
+    "CLASSES",
     "player_cap",
     "as_fraction",
     "coalition",
@@ -52,6 +53,7 @@ __all__ = [
     "zeta",
     "halves",
     "scaled_with",
+    "excess_table",
     "build_game",
     "worth",
     "dual",
@@ -64,6 +66,7 @@ __all__ = [
     "additive_game",
     "unanimity_game",
     "classify",
+    "in_class",
 ]
 
 DEFAULT_PLAYER_CAP = 20
@@ -172,11 +175,11 @@ class TUGame:
     worths[S] is v(S) for the bit-pattern coalition S; worths[0] must be 0.
     Instances are immutable and safe to share across threads.  Besides the
     fields, a game carries caches of what is derived from it: scaled, and
-    memo, which holds each bound vector, named value and shifted game the
-    first time it is computed (see remember).  Every entry is a pure
-    function of the fields, so two threads filling one entry at once both
-    compute the same result and either write leaves it correct.  The caches
-    take no part in ==, hash or pickling.
+    memo, which holds each bound vector, named value, shifted game and class
+    verdict the first time it is computed (see remember and in_class).  Every
+    entry is a pure function of the fields, so two threads filling one entry
+    at once both compute the same result and either write leaves it correct.
+    The caches take no part in ==, hash or pickling.
     """
 
     n: int
@@ -226,9 +229,10 @@ class TUGame:
     @cached_property
     def memo(self) -> dict:
         """Results derived from this game, keyed by what derived them: a bound
-        functional (by identity), ("shifted", functional), or a value name.
-        Keys never come from caller-supplied vectors, so the memo is bounded
-        by the functionals and values in the program."""
+        functional (by identity), ("shifted", functional), a value name, or
+        ("class", name) for each name of CLASSES decided so far.  Keys never
+        come from caller-supplied vectors, so the memo is bounded by the
+        functionals, values and classes in the program."""
         return {}
 
     def remember(self, key: Hashable, compute: Callable[[], T]) -> T:
@@ -266,7 +270,8 @@ def scaled_with(v: TUGame, x: Sequence[RationalLike]) -> Tuple[int, Sequence, li
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Structural class membership flags of a single game.
+    """Structural class membership flags of a single game, one per name of
+    CLASSES and in its order.
 
     M_lower_class means v(N) >= sum of marginal contributions; M_upper_class
     is the reverse inequality.  All quantified predicates run over nonempty
@@ -281,6 +286,14 @@ class ClassReport:
     semi_balanced: bool
     M_lower_class: bool
     M_upper_class: bool
+
+
+# The class names, in ClassReport field order, as the sampler filters and
+# NotInClass spell them.
+CLASSES = (
+    "monotonic", "superadditive", "convex", "essential", "weakly-essential",
+    "semi-balanced", "M-lower", "M-upper",
+)
 
 
 def build_game(
@@ -399,20 +412,25 @@ def unanimity_game(n: int, T: int) -> TUGame:
     return TUGame(n, table)
 
 
-def classify(v: TUGame) -> ClassReport:
-    """Evaluate all structural class predicates on the scaled table.
+
+
+def excess_table(v: TUGame, eta: Sequence[RationalLike]) -> Tuple[int, list, list]:
+    """(L, L*eta, e) with e[S] = L * (v(S) - eta(S)) for every coalition S,
+    for a common denominator L of the game and eta as in scaled_with."""
+    L, W, E = scaled_with(v, eta)
+    return L, E, list(map(sub, W, additive_table(E)))
+
+
+def _marginal_pass(v: TUGame) -> Tuple[bool, bool]:
+    """(monotonic, convex) from one marginal table per player; both are kept.
 
     Monotonicity checks that no marginal contribution to a nonempty
     coalition is negative, which chains to all nonempty subset pairs.
     Convexity checks that each player's marginal contributions are
-    nondecreasing in every other player, in O(n^2 * 2^n).  Superadditivity
-    follows from convexity, or else visits each split of each coalition into
-    two nonempty parts once, in O(3^n).
+    nondecreasing in every other player, in O(n^2 * 2^n).
     """
     n = v.n
     _, W = v.scaled
-    full = v.grand
-
     monotonic = convex = True
     for i in range(n):
         # Marginal contributions of i to the coalitions of the others, in
@@ -422,31 +440,51 @@ def classify(v: TUGame) -> ClassReport:
         convex = convex and all(
             all(map(ge, *halves(marginal, j))) for j in range(i, n - 1)
         )
+    v.memo["class", "monotonic"], v.memo["class", "convex"] = monotonic, convex
+    return monotonic, convex
 
+
+def _superadditive(v: TUGame) -> bool:
     # Convex games are superadditive (v(S + T) + v(empty) >= v(S) + v(T) for
-    # disjoint S, T), so only the others need the O(3^n) sweep.
-    superadditive = True
-    if not convex:
-        for U in range(3, full + 1):
-            low = U & -U
-            rest = S = U ^ low
-            # low + S and rest - S split U, for S over the proper subsets of rest.
-            while superadditive and S:
-                S = (S - 1) & rest
-                superadditive = W[low | S] + W[rest ^ S] <= W[U]
+    # disjoint S, T), so only the others need the O(3^n) sweep, which visits
+    # each split of each coalition into two nonempty parts once.
+    if in_class(v, "convex"):
+        return True
+    _, W = v.scaled
+    for U in range(3, v.grand + 1):
+        low = U & -U
+        rest = S = U ^ low
+        # low + S and rest - S split U, for S over the proper subsets of rest.
+        while S:
+            S = (S - 1) & rest
+            if W[low | S] + W[rest ^ S] > W[U]:
+                return False
+    return True
 
-    vN = W[full]
-    M = [vN - W[full ^ (1 << i)] for i in range(n)]
-    sum_nu = sum(W[1 << i] for i in range(n))
-    sum_M = sum(M)
-    weakly_essential = sum_nu <= vN
-    return ClassReport(
-        monotonic=monotonic,
-        superadditive=superadditive,
-        convex=convex,
-        essential=weakly_essential and vN <= sum_M,
-        weakly_essential=weakly_essential,
-        semi_balanced=max(map(sub, W, additive_table(M))) <= 0,
-        M_lower_class=vN >= sum_M,
-        M_upper_class=vN <= sum_M,
-    )
+
+_CLASS_TESTS: dict[str, Callable[[TUGame], bool]] = {
+    "monotonic": lambda v: _marginal_pass(v)[0],
+    "superadditive": _superadditive,
+    "convex": lambda v: _marginal_pass(v)[1],
+    "essential": lambda v: in_class(v, "weakly-essential") and in_class(v, "M-upper"),
+    "weakly-essential": lambda v: sum(individual_worths(v)) <= v.total,
+    # The empty coalition has excess 0, so it does not move the maximum.
+    "semi-balanced": lambda v: max(excess_table(v, marginal_contributions(v))[2]) <= 0,
+    "M-lower": lambda v: v.total >= sum(marginal_contributions(v)),
+    "M-upper": lambda v: v.total <= sum(marginal_contributions(v)),
+}
+
+
+def in_class(v: TUGame, name: str) -> bool:
+    """Whether v is in the class called name, one of CLASSES.
+
+    Each class is decided the first time it is asked for and kept in v.memo
+    under ("class", name); deciding monotonic or convex keeps both.
+    """
+    test = _CLASS_TESTS[name]
+    return v.remember(("class", name), lambda: test(v))
+
+
+def classify(v: TUGame) -> ClassReport:
+    """Every class of CLASSES, decided through in_class."""
+    return ClassReport(*(in_class(v, name) for name in CLASSES))

@@ -119,14 +119,16 @@ def _key_to_mask(key: str, n: int) -> int:
     mask = 0
     previous = 0
     for token in key.split(","):
-        player = int(token)
+        # Keys have no leading zeros, so a token longer than n's digits names
+        # a player above n; int() never reads it, however long it is.
+        player = int(token) if len(token) <= len(str(n)) else n + 1
         if player <= previous:
             raise ParseError(
                 f"coalition key {key!r} is not strictly increasing"
             )
         if player > n:
             raise ParseError(
-                f"coalition key {key!r} names player {player} of {n}"
+                f"coalition key {key!r} names player {token} of {n}"
             )
         previous = player
         mask |= 1 << (player - 1)

@@ -42,7 +42,7 @@ from .errors import (
     NotInClass,
     NotRegularLowerBound,
 )
-from .game import TUGame, as_fraction, individual_worths
+from .game import TUGame, as_fraction, in_class, individual_worths
 
 __all__ = [
     "ValueResult",
@@ -203,7 +203,7 @@ def chi(v: TUGame) -> ValueResult:
     lower bound is the vector of individual worths, so the class guard is
     weak essentiality: sum of singleton worths <= v(N).
     """
-    if sum(individual_worths(v)) > v.total:
+    if not in_class(v, "weakly-essential"):
         raise NotInClass("weakly-essential")
     return v.remember("chi", lambda: ubc_value(v, "MilnorUpper", value_id="chi"))
 
@@ -219,11 +219,11 @@ def gately(v: TUGame, *, strict: bool = False) -> ValueResult:
 
 
 def _gately(v: TUGame, strict: bool) -> ValueResult:
+    if not in_class(v, "essential"):
+        raise NotInClass("essential")
     nu = individual_worths(v)
     M = bounds.marginal_contributions(v)
     vN = v.total
-    if not sum(nu) <= vN <= sum(M):
-        raise NotInClass("essential")
     if strict:
         for i in range(v.n):
             if nu[i] > M[i]:
@@ -302,11 +302,10 @@ def eansc(v: TUGame) -> ValueResult:
 
 def _eansc(v: TUGame) -> ValueResult:
     M = bounds.marginal_contributions(v)
-    vN, s_M = v.total, sum(M)
     routes = []
-    if v.n >= 2 and vN <= s_M:
+    if v.n >= 2 and in_class(v, "M-upper"):
         routes.append("(mu~, M)")
-    if vN >= s_M:
+    if in_class(v, "M-lower"):
         routes.append("(M, eta^M)")
     if routes[0] == "(mu~, M)":
         lower, upper = bounds.eansc_tilde_lower(v), M

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Any, Callable, Iterable, Sequence, Tuple
 
@@ -37,10 +38,11 @@ from .errors import (
     TooFewPlayers,
 )
 from .game import (
+    CLASSES,
     TUGame,
     additive_table,
-    classify,
     dual,
+    in_class,
     individual_worths,
     player_cap,
     transform,
@@ -197,7 +199,7 @@ def check_axiom(
 
 def check_convex_coincidence(v: TUGame) -> CheckOutcome:
     """On a convex game, tau, chi and the KM value must coincide exactly."""
-    if not classify(v).convex:
+    if not in_class(v, "convex"):
         raise NotInClass("convex")
     a_tau = values.tau(v).allocation
     a_chi = values.chi(v).allocation
@@ -206,15 +208,9 @@ def check_convex_coincidence(v: TUGame) -> CheckOutcome:
     return _outcome("convex_coincidence", witness)
 
 
-CLASS_FILTERS = (
-    "any",
-    "zero-normalised",
-    "convex",
-    "essential",
-    "weakly-essential",
-    "semi-balanced",
-    "M-lower",
-    "M-upper",
+# Every class but monotonic and superadditive has a sampler filter.
+CLASS_FILTERS = ("any", "zero-normalised") + tuple(
+    c for c in CLASSES if c not in ("monotonic", "superadditive")
 )
 
 
@@ -296,27 +292,10 @@ def _draw_convex(rng: random.Random, config: SamplerConfig, n: int) -> TUGame:
     return TUGame(n, tuple(Fraction(t + x, L) for t, x in zip(table, shifts)))
 
 
-def _accepts(class_filter: str, v: TUGame) -> bool:
-    if class_filter in ("any", "zero-normalised", "convex"):
-        return True
-    vN = v.total
-    if class_filter == "weakly-essential":
-        return sum(individual_worths(v)) <= vN
-    M = bounds.marginal_contributions(v)
-    if class_filter == "essential":
-        return sum(individual_worths(v)) <= vN <= sum(M)
-    if class_filter == "semi-balanced":
-        return bounds.is_strongly_upper_bounded(v, M)
-    if class_filter == "M-lower":
-        return vN >= sum(M)
-    if class_filter == "M-upper":
-        return vN <= sum(M)
-    raise CoopvalsError(f"unknown class filter {class_filter!r}")
-
-
 def sample_games(config: SamplerConfig) -> list[TUGame]:
     """Deterministic seeded game sequence honouring the class filter."""
     rng = random.Random(config.seed)
+    by_construction = config.class_filter in ("any", "zero-normalised", "convex")
     out: list[TUGame] = []
     for _ in range(config.count):
         for _ in range(config.retry_cap):
@@ -327,7 +306,7 @@ def sample_games(config: SamplerConfig) -> list[TUGame]:
                 v = zero_normalise(_draw_any(rng, config, n))
             else:
                 v = _draw_any(rng, config, n)
-            if _accepts(config.class_filter, v):
+            if by_construction or in_class(v, config.class_filter):
                 out.append(v)
                 break
         else:
@@ -439,26 +418,11 @@ class SuiteReport:
 
 
 # Positive bound-pair fixtures: (mu, eta, class predicate).  The
-# predicate names the class on which the pair provably satisfies all three
-# conditions; out-of-class games are skipped, not failed.
-def _pred_all(v: TUGame) -> bool:
-    return True
-
-
-def _pred_semi_balanced(v: TUGame) -> bool:
-    return bounds.is_strongly_upper_bounded(v, bounds.marginal_contributions(v))
-
-
-def _pred_weakly_essential(v: TUGame) -> bool:
-    return sum(individual_worths(v)) <= v.total
-
-
-def _pred_m_lower(v: TUGame) -> bool:
-    return v.total >= sum(bounds.marginal_contributions(v))
-
-
+# predicate picks the games on which the pair provably satisfies all three
+# conditions, None meaning every game; out-of-class games are skipped, not
+# failed.
 def _pred_m_upper_multi(v: TUGame) -> bool:
-    return v.n >= 2 and v.total <= sum(bounds.marginal_contributions(v))
+    return v.n >= 2 and in_class(v, "M-upper")
 
 
 def _pred_ordered(v: TUGame) -> bool:
@@ -473,11 +437,11 @@ def _pred_pansc(v: TUGame) -> bool:
 
 
 _POSITIVE_PAIRS = (
-    ("KikutaLower", "MilnorUpper", _pred_all),
-    ("MinimalRights", "MarginalContributions", _pred_semi_balanced),
-    (bounds.MU_FROM_MILNOR, "MilnorUpper", _pred_all),
-    ("IndividualWorths", "EtaPrime", _pred_weakly_essential),
-    ("MarginalContributions", "EtaFromM", _pred_m_lower),
+    ("KikutaLower", "MilnorUpper", None),
+    ("MinimalRights", "MarginalContributions", partial(in_class, name="semi-balanced")),
+    (bounds.MU_FROM_MILNOR, "MilnorUpper", None),
+    ("IndividualWorths", "EtaPrime", partial(in_class, name="weakly-essential")),
+    ("MarginalContributions", "EtaFromM", partial(in_class, name="M-lower")),
     ("EanscTildeLower", "MarginalContributions", _pred_m_upper_multi),
     ("ZeroLower", "MarginalContributions", _pred_pansc),
     ("IndividualWorths", "MarginalContributions", _pred_ordered),
@@ -530,9 +494,9 @@ def _eansc_route_agreement(v: TUGame) -> Witness | None:
     alloc = values.eansc(v).allocation
     M = bounds.marginal_contributions(v)
     routes = []
-    if v.n >= 2 and v.total <= sum(M):
+    if _pred_m_upper_multi(v):
         routes.append((bounds.eansc_tilde_lower(v), M))
-    if v.total >= sum(M):
+    if in_class(v, "M-lower"):
         routes.append((M, bounds.eta_from_lower(v, M)))
     for lower, upper in routes:
         witness = first_difference(alloc, values.compromise(v, lower, upper).allocation)
@@ -550,7 +514,7 @@ def _semi_balanced_order(v: TUGame) -> Witness | None:
     M = bounds.marginal_contributions(v)
     m = bounds.minimal_rights(v)
     by_order = all(a <= b for a, b in zip(m, M))
-    if bounds.is_strongly_upper_bounded(v, M) == by_order:
+    if in_class(v, "semi-balanced") == by_order:
         return None
     return Witness(0, m, M)
 
@@ -573,14 +537,15 @@ def run_suite_on_games(
     """
     rng = random.Random(seed ^ 0x5EED)
     if convex_games is None:
-        convex_games = [v for v in games if classify(v).convex]
+        convex_games = [v for v in games if in_class(v, "convex")]
     checks: list[CheckStats] = []
 
     # Bound-pair positives, and the two intentional negative fixtures.
     for mu, eta, pred in _POSITIVE_PAIRS:
         checks.append(_tally(
             f"bound_pair:{functional(mu).id},{functional(eta).id}",
-            games, _pair_check(mu, eta), scope=[pred(v) for v in games],
+            games, _pair_check(mu, eta),
+            scope=None if pred is None else [pred(v) for v in games],
         ))
     if negative_fixtures:
         checks.append(_tally(

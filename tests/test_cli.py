@@ -246,6 +246,12 @@ def test_check_sample_matches_golden(seed, capsys):
 
 
 DENSE8 = str(GOLDEN / "dense8_game.json")
+# v(S) = 1 iff |S| >= 3: monotonic and superadditive, not convex.
+MAJORITY5 = str(GOLDEN / "majority5_game.json")
+REJECTION_FILTERS = (
+    "zero-normalised", "essential", "weakly-essential", "semi-balanced", "M-lower",
+    "M-upper",
+)
 
 
 @pytest.mark.parametrize(
@@ -261,6 +267,16 @@ DENSE8 = str(GOLDEN / "dense8_game.json")
             ["bounds", "--game", DENSE8, "--pair", "tau", "--format", "json"],
             "dense8_bounds_tau.json",
         ),
+        *(
+            (
+                ["sample", "--filter", f, "--n", "4", "--count", "3", "--seed", "0",
+                 "--format", "json"],
+                f"sample_{f}_n4_seed0.json",
+            )
+            for f in REJECTION_FILTERS
+        ),
+        (["report", "--game", MAJORITY5, "--format", "json"], "majority5_report.json"),
+        (["check", "--game", MAJORITY5, "--format", "json"], "majority5_check.json"),
     ],
 )
 def test_output_matches_golden(argv, golden, capsys):
@@ -324,17 +340,25 @@ def test_check_has_no_suite_flag(capsys):
 
 
 @pytest.mark.parametrize(
-    "players, key",
-    [(11, "1١"), (2, "1\n"), (2, "1,2\n")],
-    ids=["arabic-indic-digit", "trailing-newline", "pair-trailing-newline"],
+    "players, key, error",
+    [
+        (11, "1١", "error: bad coalition key"),
+        (2, "1\n", "error: bad coalition key"),
+        (2, "1,2\n", "error: bad coalition key"),
+        (3, "1," + "9" * 5000, f"error: coalition key '1,{'9' * 5000}' names player"),
+    ],
+    ids=[
+        "arabic-indic-digit", "trailing-newline", "pair-trailing-newline",
+        "5000-digit-player",
+    ],
 )
-def test_bad_coalition_key_exits_2(players, key, game_file, capsys):
+def test_bad_coalition_key_exits_2(players, key, error, game_file, capsys):
     # "1١" would otherwise read as player 11.
     path = game_file({"players": players, "worths": {key: 1}})
     assert main(["compute", "--game", path, "--value", "cis"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: bad coalition key")
+    assert captured.err.startswith(error)
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

@@ -1,5 +1,7 @@
 """JSON game file parsing and canonical serialisation."""
 
+import contextlib
+import io
 import json
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import games
 from coopvals import (
+    CoopvalsError,
+    DomainError,
     NonzeroEmptyCoalition,
     ParseError,
     PlayerCountExceeded,
@@ -21,6 +25,7 @@ from coopvals import (
     serialise_game,
 )
 from coopvals import gamefile
+from coopvals.cli import main
 
 
 def doc(**kwargs) -> str:
@@ -231,6 +236,12 @@ def test_literal_rejections(text):
             "coalition key '1,99999999999999999999999' names player "
             "99999999999999999999999 of 3",
         ),
+        pytest.param(
+            3,
+            "1," + "9" * 5000,  # past the 4300 digits int() converts
+            f"coalition key '1,{'9' * 5000}' names player {'9' * 5000} of 3",
+            id="5000-digit-player",
+        ),
     ],
 )
 def test_bad_coalition_key_messages(players, key, message):
@@ -255,3 +266,146 @@ def test_game_doc_keys_list_members_in_mask_order(n):
     ]
     assert list(game_doc(v)["worths"]) == keys
     assert parse_game_file(serialise_game(v)).worths == v.worths
+
+
+# ----- the input contract under fuzzing --------------------------------------
+
+HUGE = "9" * 5000  # past Python's 4300-digit int conversion limit
+HUGE_KEY_FILE = json.dumps({"players": 3, "worths": {"1," + HUGE: 2}})
+
+
+class Raw(str):
+    """A JSON token written out as it is, such as a number no float holds."""
+
+
+class Obj(tuple):
+    """A JSON object as its (key, value) pairs, in order, duplicates kept."""
+
+
+def _dump(x) -> str:
+    if isinstance(x, Raw):
+        return str(x)
+    if isinstance(x, Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in x) + "}"
+    if isinstance(x, list):
+        return "[" + ", ".join(map(_dump, x)) + "]"
+    return json.dumps(x)
+
+
+_TOP_KEYS = st.sampled_from(["players", "labels", "worths", "worths_by_mask"])
+_RAW_TOKENS = st.sampled_from([
+    Raw(HUGE), Raw("-" + HUGE), Raw("1e99999"), Raw("1.5e-3"), Raw("-0.0"),
+    Raw("NaN"), Raw("-Infinity"),
+])
+# Integers stay out of 5 .. 20, so no drawn player count builds a table of
+# more than 16 worths.
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 4), st.integers(21, 10**30),
+    st.floats(), st.text(max_size=6), _RAW_TOKENS,
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.tuples(st.text(max_size=6) | _TOP_KEYS, inner), max_size=4).map(Obj),
+    max_leaves=12,
+)
+# Literals just outside the grammar, and huge ones.
+_OUTSIDE_LITERALS = st.sampled_from([
+    "", " 1", "1 ", "1/0", "1/-2", ".5", "5.", "1e", "1_000", "0x10", "١", "+-1",
+    "1//2", "nan", "inf", "1e5000", "1/" + HUGE, HUGE, "-" + HUGE,
+])
+_GOOD_WORTHS = st.one_of(_GRAMMAR_LITERALS, st.integers(-(10**6), 10**6))
+_BAD_WORTHS = st.one_of(_OUTSIDE_LITERALS, _JSON)
+_BAD_KEYS = st.sampled_from([
+    "1," + HUGE, HUGE, "99999999999999999999999", "0", "01", "-1", "1,1", "2,1",
+    "1, 2", "", "a", "1١", "1\n", "5", "1,2,3,4,5",
+])
+_MUTATIONS = st.sampled_from([
+    "drop", "duplicate", "retype", "extra", "bad worth", "bad key", "repeat key", "cut",
+])
+
+
+@st.composite
+def game_texts(draw) -> str:
+    """A valid game file of up to four players with up to two mutations, or
+    arbitrary JSON."""
+    if draw(st.integers(0, 4)) == 4:
+        return _dump(draw(_JSON))
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        masks = draw(st.lists(st.integers(1, (1 << n) - 1), unique=True, max_size=8))
+        entries = [
+            [",".join(str(i + 1) for i in range(n) if S >> i & 1), draw(_GOOD_WORTHS)]
+            for S in masks
+        ]
+        table = ["worths", entries]
+    else:
+        entries = [0] + [draw(_GOOD_WORTHS) for _ in range((1 << n) - 1)]
+        table = ["worths_by_mask", entries]
+    pairs = [["players", n], table]
+    if draw(st.booleans()):
+        pairs.append(["labels", [f"p{i}" for i in range(n)]])
+    sparse, cut = table[0] == "worths", False
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        mutation = draw(_MUTATIONS)
+        if mutation == "cut":
+            cut = True
+        elif mutation == "extra" or not pairs:
+            pairs.append([draw(st.text(max_size=6) | _TOP_KEYS), draw(_JSON)])
+        elif mutation in ("drop", "duplicate", "retype"):
+            k = draw(st.integers(0, len(pairs) - 1))
+            if mutation == "drop":
+                del pairs[k]
+            elif mutation == "duplicate":
+                pairs.append(pairs[k])
+            else:
+                pairs[k] = [pairs[k][0], draw(_JSON)]
+        elif mutation == "bad key" and sparse:
+            entry = [draw(_BAD_KEYS), draw(_GOOD_WORTHS)]
+            entries.insert(draw(st.integers(0, len(entries))), entry)
+        elif mutation == "bad worth" and entries:
+            j, bad = draw(st.integers(0, len(entries) - 1)), draw(_BAD_WORTHS)
+            entries[j] = [entries[j][0], bad] if sparse else bad
+        elif mutation == "repeat key" and sparse and entries:
+            entries.append(entries[draw(st.integers(0, len(entries) - 1))])
+        elif not sparse:  # one entry too many
+            entries.append(draw(_GOOD_WORTHS))
+    if sparse:
+        table[1] = Obj(map(tuple, entries))
+    text = _dump(Obj(map(tuple, draw(st.permutations(pairs)))))
+    if cut:
+        text = text[: draw(st.integers(1, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(game_texts())
+@example(HUGE_KEY_FILE)
+def test_parse_game_file_raises_only_package_errors(text):
+    try:
+        parse_game_file(text)
+    except CoopvalsError:
+        pass
+
+
+@settings(max_examples=250, deadline=None)
+@given(text=game_texts())
+@example(text=HUGE_KEY_FILE)
+def test_report_on_any_file_exits_0_1_or_2(tmp_path_factory, text):
+    # The user sees the error parse_game_file raises, with its exit code.
+    try:
+        parse_game_file(text)
+        expected = None
+    except CoopvalsError as exc:
+        expected = exc
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", "--game", str(path)])
+    if expected is None:
+        assert code == 0 or err.getvalue().startswith("error: a result has more than")
+    elif isinstance(expected, DomainError):
+        assert (code, out.getvalue(), err.getvalue()) == (1, f"{expected}\n", "")
+    else:
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {expected}\n")

@@ -6,6 +6,7 @@ the oracles, coalition by coalition.  The games mix small denominators with
 pairwise coprime Fermat numbers 2^(2^k) + 1, so both sides of the cap occur.
 """
 
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,15 @@ from coopvals import (
     transform,
 )
 from coopvals.bounds import BoundFunctional, mu_from_upper_vector
-from coopvals.game import SCALE_CAP, additive_table, coalition_total, halves, zeta
+from coopvals.game import (
+    CLASSES,
+    SCALE_CAP,
+    additive_table,
+    coalition_total,
+    halves,
+    in_class,
+    zeta,
+)
 
 FERMAT = [2 ** (2**k) + 1 for k in range(10)]
 
@@ -122,17 +131,47 @@ def test_additive_table_zeta_and_halves():
     assert list(without_1) == [0, 1, 4, 5]
 
 
+# The classes each class is decided from, besides itself.
+DECIDED_WITH = {
+    "monotonic": {"convex"},
+    "convex": {"monotonic"},
+    "superadditive": {"monotonic", "convex"},
+    "essential": {"weakly-essential", "M-upper"},
+}
+
+
 @settings(max_examples=80, deadline=None)
-@given(wide_games)
+@given(wide_games, st.permutations(CLASSES))
 # |S|^2 with v({2, 3}) raised: the only violated split is {1} + {2, 3}.
-@example(TUGame(3, (0, 1, 1, 4, 1, 4, Fraction(17, 2), 9)))
-def test_classify_matches_oracles(v):
+@example(TUGame(3, (0, 1, 1, 4, 1, 4, Fraction(17, 2), 9)), CLASSES)
+def test_classify_matches_oracles(v, order):
     table = oracles.game_from_tugame(v)
     report = classify(v)
     assert report.monotonic == oracles.is_monotonic(table)
     assert report.superadditive == oracles.is_superadditive(table)
     assert report.convex == oracles.is_convex(table)
     assert report.semi_balanced == oracles.is_semi_balanced(table)
+
+    # The other four from the sums of singleton worths and marginal vector.
+    single = sum(table[frozenset({i})] for i in oracles.players_of(table))
+    marginal = sum(oracles.marginal_vector(table).values())
+    total = v.total
+    expected = dict(zip(CLASSES, (
+        report.monotonic, report.superadditive, report.convex,
+        single <= total <= marginal, single <= total, report.semi_balanced,
+        total >= marginal, total <= marginal,
+    )))
+    assert astuple(report) == tuple(expected.values())
+
+    # Asked one at a time in any order, on a game with an empty memo, each
+    # class comes out the same, and nothing beyond what it is decided with
+    # is kept.
+    fresh = TUGame(v.n, v.worths)
+    asked = set()
+    for name in order:
+        asked |= {name, *DECIDED_WITH.get(name, ())}
+        assert in_class(fresh, name) == expected[name]
+        assert set(fresh.memo) <= {("class", c) for c in asked}
 
 
 @settings(max_examples=80, deadline=None)

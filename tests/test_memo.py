@@ -27,6 +27,7 @@ from coopvals import (
     check_axiom,
     check_bound_pair,
     check_translation_covariance,
+    classify,
     constant_lower,
     gately,
     individual_worths,
@@ -40,6 +41,7 @@ from coopvals import (
     transform,
 )
 from coopvals.bounds import MU_FROM_MILNOR
+from coopvals.verify import CLASS_FILTERS
 
 FUNCTIONALS = (*REGISTRY.values(), MU_FROM_MILNOR)
 
@@ -215,3 +217,20 @@ def test_threads_filling_one_memo_agree():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * len(threads)
+
+
+def test_only_classify_decides_superadditivity():
+    # v(S) = 1 iff |S| >= 4: superadditive but not convex, so deciding
+    # superadditivity takes the O(3^n) sweep.
+    v = TUGame(6, tuple(Fraction(int(S.bit_count() >= 4)) for S in range(1 << 6)))
+    key = ("class", "superadditive")
+    run_suite_on_games([v], negative_fixtures=False)
+    assert v.memo[("class", "convex")] is False
+    assert key not in v.memo
+    for class_filter in CLASS_FILTERS:
+        config = SamplerConfig(n_min=4, n_max=4, class_filter=class_filter, count=3)
+        sampled = sample_games(config)
+        run_suite_on_games(sampled)
+        assert not any(key in u.memo for u in sampled)
+    assert classify(v).superadditive
+    assert v.memo[key] is True
