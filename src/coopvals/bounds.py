@@ -19,7 +19,8 @@ functionals used by the compromise values:
 Two constructions derive one side of a pair from the other.  From a lower
 bound mu, eta^mu_i = v(N) - sum_{j != i} mu_j.  From a translation covariant
 upper bound eta, mu^eta_i = max over nonempty S containing i of
-R_i(S, v) = v(S) - sum_{j in S-i} eta_j(v).
+R_i(S, v) = v(S) - sum_{j in S-i} eta_j(v).  Only mu_from_upper derives
+mu^eta from a functional; strong upper bounds are read off mu^eta <= eta.
 
 A pair (mu, eta) is a bound pair on a game v when (i) mu(v) <= eta(v)
 componentwise, (ii-a) mu(v - mu(v)) = 0, and (ii-b) eta(v - mu(v)) =
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import sub
+from operator import le, sub
 from typing import Callable, Sequence, Tuple, Union
 
 from .errors import (
@@ -161,20 +162,21 @@ def mu_from_upper(v: TUGame, eta_id: Union[str, "BoundFunctional"]) -> BoundVect
     """The derived lower bound mu^eta_i(v) = max_{S: i in S} R_i(S, v).
 
     R_i(S, v) = v(S) - sum_{j in S-i} eta_j(v), with S ranging over nonempty
-    coalitions containing i, so mu^eta >= individual worths always.  Requires
-    a translation covariant upper bound; the registry flag is checked.
-    """
+    coalitions containing i, so mu^eta >= individual worths always, and
+    mu^eta <= eta exactly when v(S) <= eta(S) for every S.  Requires a
+    translation covariant upper bound (the registry flag is checked).  Kept
+    in v.memo under ("mu_from_upper", functional)."""
     fn = functional(eta_id)
     if not fn.is_translation_covariant:
         raise NonCovariantUpperBound(
             f"{fn.id} is not translation covariant; cannot derive a lower bound"
         )
-    return mu_from_upper_vector(v, fn(v))
+    return v.remember(("mu_from_upper", fn), lambda: mu_from_upper_vector(v, fn(v)))
 
 
 def minimal_rights(v: TUGame) -> BoundVector:
     """The minimal rights vector: mu_from_upper with the marginal vector."""
-    return mu_from_upper_vector(v, marginal_contributions(v))
+    return mu_from_upper(v, "MarginalContributions")
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +245,7 @@ def derived_lower_from_upper(eta_id: Union[str, BoundFunctional]) -> BoundFuncti
         )
     return BoundFunctional(
         id=f"MuFrom({fn.id})",
-        evaluate=lambda v: mu_from_upper_vector(v, fn(v)),
+        evaluate=lambda v: mu_from_upper(v, fn),
         is_translation_covariant=True,
         is_regular_lower=True,
     )
@@ -446,12 +448,12 @@ def membership(
     vN = v.total
     in_lower = sum(mu) <= vN
     in_balanced = in_lower and vN <= sum(eta)
-    in_strong = is_strongly_upper_bounded(v, eta)
     if eta_fn.is_translation_covariant:
-        derived = mu_from_upper_vector(v, eta)
+        derived = mu_from_upper(v, eta_fn)
+        in_strong = all(map(le, derived, eta))
         in_proper: bool | None = in_strong and sum(derived) <= vN
     else:
-        in_proper = None
+        in_strong, in_proper = is_strongly_upper_bounded(v, eta), None
 
     # b_hat: v(S) - nu(S) <= (|S| - 1) * slack for nonempty S, that is, the
     # excess of v over the vector nu + slack is at most -slack.

@@ -229,10 +229,11 @@ class TUGame:
     @cached_property
     def memo(self) -> dict:
         """Results derived from this game, keyed by what derived them: a bound
-        functional (by identity), ("shifted", functional), a value name, or
-        ("class", name) for each name of CLASSES decided so far.  Keys never
-        come from caller-supplied vectors, so the memo is bounded by the
-        functionals, values and classes in the program."""
+        functional (by identity), ("shifted", functional), ("mu_from_upper",
+        functional), a value name, or ("class", name) for each name of
+        CLASSES decided so far.  Keys never come from caller-supplied
+        vectors, so the memo is bounded by the functionals, values and
+        classes in the program."""
         return {}
 
     def remember(self, key: Hashable, compute: Callable[[], T]) -> T:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt
 from typing import Sequence, Tuple, Union
 
 from . import bounds
@@ -37,7 +38,6 @@ from .errors import (
     BoundOrderViolated,
     CoopvalsError,
     DegenerateBounds,
-    NonCovariantUpperBound,
     NotBalanced,
     NotInClass,
     NotRegularLowerBound,
@@ -165,23 +165,17 @@ def ubc_value(
     eta_id: Union[str, BoundFunctional],
     *,
     value_id: str | None = None,
-    class_name: str | None = None,
 ) -> ValueResult:
     """The compromise value built from a translation covariant upper bound.
 
-    Requires v(S) <= sum_{i in S} eta_i(v) for every nonempty S; the derived
-    lower bound is mu^eta.  NotBalanced signals sum(mu^eta) > v(N), i.e. the
-    game lies outside the proper upper-bound class.
-    """
+    Pairs eta with mu^eta.  NotInClass signals some mu^eta_i > eta_i, i.e. some
+    v(S) > eta(S); NotBalanced signals sum(mu^eta) > v(N): the game lies
+    outside the strong or the proper upper-bound class."""
     fn = functional(eta_id)
-    if not fn.is_translation_covariant:
-        raise NonCovariantUpperBound(
-            f"{fn.id} is not translation covariant; cannot derive a lower bound"
-        )
+    mu = bounds.mu_from_upper(v, fn)
     eta = fn(v)
-    if not bounds.is_strongly_upper_bounded(v, eta):
-        raise NotInClass(class_name or f"B_u({fn.id})")
-    mu = bounds.mu_from_upper_vector(v, eta)
+    if any(map(gt, mu, eta)):
+        raise NotInClass(f"B_u({fn.id})")
     return compromise(v, mu, eta, value_id=value_id or f"ubc:{fn.id}")
 
 
@@ -191,9 +185,11 @@ def tau(v: TUGame) -> ValueResult:
     Defined on semi-balanced games, which are exactly the games strongly
     bounded by the marginal vector.
     """
-    return v.remember("tau", lambda: ubc_value(
-        v, "MarginalContributions", value_id="tau", class_name="semi-balanced"
-    ))
+    if not in_class(v, "semi-balanced"):
+        raise NotInClass("semi-balanced")
+    return v.remember(
+        "tau", lambda: ubc_value(v, "MarginalContributions", value_id="tau")
+    )
 
 
 def chi(v: TUGame) -> ValueResult:

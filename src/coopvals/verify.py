@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from math import lcm
+from operator import add
 from typing import Any, Callable, Iterable, Sequence, Tuple
 
 from . import bounds, values
@@ -39,6 +40,7 @@ from .errors import (
 )
 from .game import (
     CLASSES,
+    SCALE_CAP,
     TUGame,
     additive_table,
     dual,
@@ -286,6 +288,12 @@ def _draw_convex(rng: random.Random, config: SamplerConfig, n: int) -> TUGame:
         for _ in range(n)
     ]
     L = lcm(*{q for _, q in coeffs + shift})
+    if L > SCALE_CAP:
+        # As in TUGame.scaled, sums past the cap run on the Fractions.
+        table = [0] + [Fraction(p, q) for p, q in coeffs]
+        zeta(table)
+        shifts = additive_table([Fraction(p, q) for p, q in shift])
+        return TUGame(n, tuple(map(add, table, shifts)))
     table = [0] + [p * (L // q) for p, q in coeffs]
     zeta(table)
     shifts = additive_table([p * (L // q) for p, q in shift])

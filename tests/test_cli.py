@@ -277,6 +277,16 @@ REJECTION_FILTERS = (
         ),
         (["report", "--game", MAJORITY5, "--format", "json"], "majority5_report.json"),
         (["check", "--game", MAJORITY5, "--format", "json"], "majority5_check.json"),
+        *(
+            (
+                ["bounds", "--game", str(GOLDEN / f"{game}_game.json"), "--pair", pair,
+                 "--format", "json"],
+                f"{game}_bounds_{pair}.json",
+            )
+            for game in ("dense8", "majority5")
+            for pair in ("chi", "cis", "eansc", "gately", "km", "tau")
+            if (game, pair) != ("dense8", "tau")
+        ),
     ],
 )
 def test_output_matches_golden(argv, golden, capsys):

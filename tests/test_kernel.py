@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from coopvals import (
+    NotBalanced,
     NotInClass,
     TUGame,
     chi,
@@ -26,6 +27,7 @@ from coopvals import (
     membership,
     milnor_upper,
     transform,
+    ubc_value,
 )
 from coopvals.bounds import BoundFunctional, mu_from_upper_vector
 from coopvals.game import (
@@ -185,10 +187,22 @@ def test_bound_kernels_match_oracles(v, data):
     arbitrary = tuple(data.draw(st.lists(rationals, min_size=v.n, max_size=v.n)))
     for eta in (arbitrary, milnor_upper(v)):
         keyed = _keyed(eta)
-        assert mu_from_upper_vector(v, eta) == _vec(oracles.mu_from_upper(table, keyed))
+        derived = oracles.mu_from_upper(table, keyed)
+        assert mu_from_upper_vector(v, eta) == _vec(derived)
         assert is_strongly_upper_bounded(v, eta) == oracles.is_strongly_upper_bounded(
             table, keyed
         )
+        # The UBC guards.  Every game is strongly bounded by the Milnor
+        # vector, so that one reaches the NotBalanced branch often.
+        upper = BoundFunctional("Drawn", lambda game, eta=eta: eta, True)
+        if not oracles.is_strongly_upper_bounded(table, keyed):
+            with pytest.raises(NotInClass):
+                ubc_value(v, upper)
+        elif sum(derived.values()) > v.total:
+            with pytest.raises(NotBalanced):
+                ubc_value(v, upper)
+        else:
+            assert ubc_value(v, upper).lower_used == _vec(derived)
 
     eta_fn = BoundFunctional("Drawn", lambda game: arbitrary, True)
     report = membership(v, "KikutaLower", eta_fn)

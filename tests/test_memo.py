@@ -12,7 +12,9 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 
 from conftest import g_a, games
@@ -40,6 +42,7 @@ from coopvals import (
     subtract_allocation,
     transform,
 )
+from coopvals import bounds, cli, game
 from coopvals.bounds import MU_FROM_MILNOR
 from coopvals.verify import CLASS_FILTERS
 
@@ -234,3 +237,33 @@ def test_only_classify_decides_superadditivity():
         assert not any(key in u.memo for u in sampled)
     assert classify(v).superadditive
     assert v.memo[key] is True
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv, tables",
+    [
+        ("dense8", ["report", "--format", "json"], 3),
+        ("majority5", ["report", "--format", "json"], 2),
+        ("dense8", ["bounds", "--pair", "tau"], 2),
+        ("dense8", ["bounds", "--pair", "chi"], 2),
+    ],
+)
+def test_each_excess_table_is_built_once(name, argv, tables, monkeypatch, capsys):
+    # Semi-balancedness, mu^M, mu^Milnor and b_hat each need one table over
+    # all 2^n coalitions; strong upper-boundedness is read off mu^eta <= eta.
+    built = []
+    original = game.excess_table
+
+    def counting(v, eta):
+        built.append(eta)
+        return original(v, eta)
+
+    for module in (game, bounds):
+        monkeypatch.setattr(module, "excess_table", counting)
+    path = str(GOLDEN / f"{name}_game.json")
+    assert cli.main([*argv[:1], "--game", path, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(built) == tables
