@@ -213,7 +213,7 @@ class BoundFunctional:
 
 def constant_lower(value: int | Fraction = 1, id: str | None = None) -> BoundFunctional:
     """A constant lower bound.  Not regular unless the constant is zero."""
-    c = Fraction(value)
+    c = as_fraction(value)
     return BoundFunctional(
         id=id or f"Constant({c})",
         evaluate=lambda v: (c,) * v.n,

@@ -16,9 +16,9 @@ default; the limit guards against quadratic-time conversion and is not
 lifted).  Output is written only once a command has finished, so a command
 that fails prints no partial result.
 Rationals are printed as p/q strings; table mode adds decimal
-approximations to six significant digits, computed exactly past the float
-range.  All JSON output is byte-deterministic for a fixed input
-and seed.
+approximations to six significant digits, computed exactly outside the
+normal float range (past it, and nonzero values below 2.2e-308).  All JSON
+output is byte-deterministic for a fixed input and seed.
 """
 
 from __future__ import annotations
@@ -37,13 +37,10 @@ from .errors import CoopvalsError, DomainError
 from .game import classify
 from .gamefile import game_doc, parse_game_file
 
+# `bounds --pair`: the pairs values declares; for eansc, its (mu~, M) route.
 PAIR_MAP = {
-    "km": ("KikutaLower", "MilnorUpper"),
-    "tau": ("MinimalRights", "MarginalContributions"),
-    "chi": (bounds.MU_FROM_MILNOR, "MilnorUpper"),
-    "cis": ("IndividualWorths", "EtaPrime"),
-    "gately": ("IndividualWorths", "MarginalContributions"),
-    "eansc": ("EanscTildeLower", "MarginalContributions"),
+    **{vid: values.AXIOM_PAIRS[vid] for vid in ("km", "tau", "chi", "cis", "gately")},
+    "eansc": values.EANSC_ROUTES["(mu~, M)"][0],
 }
 
 
@@ -57,10 +54,15 @@ def _vec(xs) -> str:
 
 
 def _approx_one(x: Fraction) -> str:
+    # Past the float range float() overflows; below it, it rounds to a
+    # subnormal with fewer digits or to zero.  Both ends take the exact path.
     try:
-        return f"{float(x):.6g}"
+        approx = float(x)
     except OverflowError:
         return _scientific(x)
+    if x and abs(approx) < sys.float_info.min:
+        return _scientific(x)
+    return f"{approx:.6g}"
 
 
 def _scientific(x: Fraction) -> str:

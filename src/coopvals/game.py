@@ -100,8 +100,16 @@ def player_cap() -> int:
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """x as a Fraction, without rebuilding one that already is."""
-    return x if type(x) is Fraction else Fraction(x)
+    """x as a Fraction, without rebuilding one that already is.
+
+    Binary floats are refused: Fraction(0.1) is the float's dyadic expansion,
+    not 1/10, so a float would silently change the game or vector it is in.
+    """
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise CoopvalsError(f"expected a Fraction, int or str, got the float {x!r}")
+    return Fraction(x)
 
 
 def coalition(players: Iterable[int]) -> int:
@@ -260,7 +268,7 @@ def scaled_with(v: TUGame, x: Sequence[RationalLike]) -> Tuple[int, Sequence, li
     """(L, L*v, L*x) as in TUGame.scaled, for a common denominator L of the
     game and the vector x; (1, worths, x) when L would exceed SCALE_CAP."""
     L, W = v.scaled
-    x = [Fraction(c) for c in x]
+    x = list(map(as_fraction, x))
     common = lcm(L, *(c.denominator for c in x))
     if common > SCALE_CAP:
         return 1, v.worths, x
@@ -366,10 +374,10 @@ def zero_normalise(v: TUGame) -> TUGame:
 
 def transform(v: TUGame, scale: RationalLike, shift: Sequence[RationalLike]) -> TUGame:
     """The covariance transform: (scale * v + shift)(S) = scale*v(S) + shift(S)."""
-    scale = Fraction(scale)
+    scale = as_fraction(scale)
     if scale <= 0:
         raise NonPositiveScale(f"scale must be positive, got {scale}")
-    x = tuple(Fraction(s) for s in shift)
+    x = tuple(map(as_fraction, shift))
     if len(x) != v.n:
         raise CoopvalsError(f"shift must have {v.n} components, got {len(x)}")
     L, W, x = scaled_with(v, x)
@@ -382,7 +390,7 @@ def transform(v: TUGame, scale: RationalLike, shift: Sequence[RationalLike]) -> 
 
 def subtract_allocation(v: TUGame, x: Sequence[RationalLike]) -> TUGame:
     """The shifted game (v - x)(S) = v(S) - x(S)."""
-    neg = tuple(-Fraction(c) for c in x)
+    neg = tuple(-as_fraction(c) for c in x)
     return transform(v, 1, neg)
 
 
@@ -398,7 +406,7 @@ def base_game(n: int, S: int) -> TUGame:
 
 def additive_game(x: Sequence[RationalLike]) -> TUGame:
     """The additive game v(S) = x(S) for a payoff vector x."""
-    payoffs = [Fraction(c) for c in x]
+    payoffs = list(map(as_fraction, x))
     return TUGame(len(payoffs), tuple(additive_table(payoffs)))
 
 

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import gt
-from typing import Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 from . import bounds
 from .bounds import BoundFunctional, BoundVector, functional
@@ -59,6 +60,7 @@ __all__ = [
     "km",
     "VALUES",
     "AXIOM_PAIRS",
+    "EANSC_ROUTES",
     "LBC_FAMILY",
 ]
 
@@ -287,26 +289,19 @@ def egalitarian(v: TUGame) -> ValueResult:
 def eansc(v: TUGame) -> ValueResult:
     """EANSC_i = M_i + (v(N) - sum_j M_j) / n, total on all games.
 
-    Route metadata records which bound-pair reconstructions cover the game:
-    (mu~, M) when n >= 2 and v(N) <= sum(M), (M, eta^M) when
-    v(N) >= sum(M).  At least one always applies, since M_1 = v(N) when
-    n = 1.  The result is computed through the first route listed; the
+    Route metadata records which bound-pair reconstructions of EANSC_ROUTES
+    cover the game: (mu~, M) when n >= 2 and v(N) <= sum(M), (M, eta^M)
+    when v(N) >= sum(M).  At least one always applies, since M_1 = v(N)
+    when n = 1.  The result is computed through the first route listed; the
     verification suite rebuilds every listed route and compares.
     """
     return v.remember("eansc", lambda: _eansc(v))
 
 
 def _eansc(v: TUGame) -> ValueResult:
-    M = bounds.marginal_contributions(v)
-    routes = []
-    if v.n >= 2 and in_class(v, "M-upper"):
-        routes.append("(mu~, M)")
-    if in_class(v, "M-lower"):
-        routes.append("(M, eta^M)")
-    if routes[0] == "(mu~, M)":
-        lower, upper = bounds.eansc_tilde_lower(v), M
-    else:
-        lower, upper = M, bounds.eta_from_lower(v, M)
+    routes = [name for name, (_, covers) in EANSC_ROUTES.items() if covers(v)]
+    mu_id, eta_id = EANSC_ROUTES[routes[0]][0]
+    lower, upper = functional(mu_id)(v), functional(eta_id)(v)
     return compromise(v, lower, upper, value_id="eansc", route=" and ".join(routes))
 
 
@@ -321,9 +316,11 @@ def km(v: TUGame) -> ValueResult:
     ))
 
 
-# CLI and verification registries.  AXIOM_PAIRS names the (mu, eta) pair the
-# axiom checks use for each value; LBC_FAMILY marks the values whose
-# proportionality axiom is egalitarian division rather than eta-proportionality.
+# CLI and verification registries.  AXIOM_PAIRS names each value's (mu, eta)
+# pair, the only place that does: the axiom checks (verify._pair), the suite's
+# bound-pair rows (verify._POSITIVE_PAIRS) and `bounds --pair` (cli.PAIR_MAP)
+# read it.  LBC_FAMILY marks the values whose proportionality axiom is
+# egalitarian division rather than eta-proportionality.
 VALUES = {
     "tau": tau,
     "chi": chi,
@@ -344,6 +341,17 @@ AXIOM_PAIRS: dict[str, tuple[Union[str, BoundFunctional], Union[str, BoundFuncti
     "cis": ("IndividualWorths", "EtaPrime"),
     "egal": ("ZeroLower", "EtaTrivial"),
     "eansc": ("MarginalContributions", "EtaFromM"),
+}
+
+# The bound-pair routes of EANSC in the order eansc tries them: each printed
+# route name maps to ((mu_id, eta_id), covers), covers(v) saying whether the
+# pair reconstructs EANSC on v.  eansc computes through the first covering
+# route; the suite rebuilds every covering route and checks each pair on the
+# games it covers; `bounds --pair eansc` shows (mu~, M).
+EANSC_ROUTES: dict[str, tuple[tuple[str, str], Callable[[TUGame], bool]]] = {
+    "(mu~, M)": (("EanscTildeLower", "MarginalContributions"),
+                 lambda v: v.n >= 2 and in_class(v, "M-upper")),
+    "(M, eta^M)": (AXIOM_PAIRS["eansc"], partial(in_class, name="M-lower")),
 }
 
 LBC_FAMILY = frozenset({"cis", "egal", "eansc"})

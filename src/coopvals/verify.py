@@ -43,6 +43,7 @@ from .game import (
     SCALE_CAP,
     TUGame,
     additive_table,
+    as_fraction,
     dual,
     in_class,
     individual_worths,
@@ -155,8 +156,8 @@ def check_axiom(
 
     if axiom_id == "Covariance":
         scale, shift = probe if probe is not None else _default_probe(v.n)
-        scale = Fraction(scale)
-        shift = tuple(Fraction(c) for c in shift)
+        scale = as_fraction(scale)
+        shift = tuple(map(as_fraction, shift))
         base = f(v)
         try:
             moved = f(transform(v, scale, shift))
@@ -425,14 +426,10 @@ class SuiteReport:
         }
 
 
-# Positive bound-pair fixtures: (mu, eta, class predicate).  The
-# predicate picks the games on which the pair provably satisfies all three
-# conditions, None meaning every game; out-of-class games are skipped, not
-# failed.
-def _pred_m_upper_multi(v: TUGame) -> bool:
-    return v.n >= 2 and in_class(v, "M-upper")
-
-
+# Positive bound-pair fixtures: (pair, class predicate), the pairs read from
+# the values tables.  The predicate picks the games on which the pair
+# provably satisfies all three conditions, None meaning every game;
+# out-of-class games are skipped, not failed.
 def _pred_ordered(v: TUGame) -> bool:
     nu = individual_worths(v)
     M = bounds.marginal_contributions(v)
@@ -445,14 +442,14 @@ def _pred_pansc(v: TUGame) -> bool:
 
 
 _POSITIVE_PAIRS = (
-    ("KikutaLower", "MilnorUpper", None),
-    ("MinimalRights", "MarginalContributions", partial(in_class, name="semi-balanced")),
-    (bounds.MU_FROM_MILNOR, "MilnorUpper", None),
-    ("IndividualWorths", "EtaPrime", partial(in_class, name="weakly-essential")),
-    ("MarginalContributions", "EtaFromM", partial(in_class, name="M-lower")),
-    ("EanscTildeLower", "MarginalContributions", _pred_m_upper_multi),
-    ("ZeroLower", "MarginalContributions", _pred_pansc),
-    ("IndividualWorths", "MarginalContributions", _pred_ordered),
+    (values.AXIOM_PAIRS["km"], None),
+    (values.AXIOM_PAIRS["tau"], partial(in_class, name="semi-balanced")),
+    (values.AXIOM_PAIRS["chi"], None),
+    (values.AXIOM_PAIRS["cis"], partial(in_class, name="weakly-essential")),
+    values.EANSC_ROUTES["(M, eta^M)"],
+    values.EANSC_ROUTES["(mu~, M)"],
+    (values.AXIOM_PAIRS["pansc"], _pred_pansc),
+    (values.AXIOM_PAIRS["gately"], _pred_ordered),
 )
 
 _COVARIANCE_VALUES = ("tau", "chi")
@@ -500,16 +497,12 @@ def _eansc_dual_identity(v: TUGame) -> Witness | None:
 def _eansc_route_agreement(v: TUGame) -> Witness | None:
     """Rebuild EANSC through each bound-pair route that covers v."""
     alloc = values.eansc(v).allocation
-    M = bounds.marginal_contributions(v)
-    routes = []
-    if _pred_m_upper_multi(v):
-        routes.append((bounds.eansc_tilde_lower(v), M))
-    if in_class(v, "M-lower"):
-        routes.append((M, bounds.eta_from_lower(v, M)))
-    for lower, upper in routes:
-        witness = first_difference(alloc, values.compromise(v, lower, upper).allocation)
-        if witness is not None:
-            return witness
+    for (mu, eta), covers in values.EANSC_ROUTES.values():
+        if covers(v):
+            rebuilt = values.compromise(v, functional(mu)(v), functional(eta)(v))
+            witness = first_difference(alloc, rebuilt.allocation)
+            if witness is not None:
+                return witness
     return None
 
 
@@ -549,7 +542,7 @@ def run_suite_on_games(
     checks: list[CheckStats] = []
 
     # Bound-pair positives, and the two intentional negative fixtures.
-    for mu, eta, pred in _POSITIVE_PAIRS:
+    for (mu, eta), pred in _POSITIVE_PAIRS:
         checks.append(_tally(
             f"bound_pair:{functional(mu).id},{functional(eta).id}",
             games, _pair_check(mu, eta),

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopvals import classify, parse_game_file
-from coopvals.cli import _scientific, build_parser, main
+from coopvals.cli import _approx, _scientific, build_parser, main
 
 G6 = {
     "players": 3,
@@ -411,6 +411,18 @@ def test_scientific_spelling_matches_float_format(x, negative):
     # A float's Fraction is its exact value, so both round the same number.
     x = -x if negative else x
     assert _scientific(Fraction(x)) == f"{x:.6g}"
+
+
+def test_approximation_below_the_float_range():
+    # float() gives 0, -0 and a subnormal with too few digits for these.
+    xs = [Fraction(1, 10**400), Fraction(-3, 10**500), Fraction(7, 3 * 10**320)]
+    assert _approx(xs) == "1e-400 -3e-500 2.33333e-320"
+
+
+def test_compute_below_the_float_range(game_file, capsys):
+    tiny = {"players": 1, "worths": {"1": "1e-400"}}
+    assert main(["compute", "--game", game_file(tiny), "--value", "cis"]) == 0
+    assert "approx: 1e-400" in capsys.readouterr().out.splitlines()
 
 
 def _outcome(argv, capsys):

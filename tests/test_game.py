@@ -20,8 +20,12 @@ from coopvals import (
     additive_game,
     base_game,
     build_game,
+    check_axiom,
+    check_translation_covariance,
     classify,
     coalition,
+    compromise,
+    constant_lower,
     dual,
     individual_worths,
     members,
@@ -181,3 +185,29 @@ def test_convex_implies_semi_balanced(v):
     report = classify(v)
     if report.convex:
         assert report.semi_balanced
+
+
+_V = TUGame(2, (0, 1, 1, 4))
+
+# Each entry point that takes a rational from the caller, called with x.
+RATIONAL_INPUTS = {
+    "TUGame": lambda x: TUGame(1, (0, x)),
+    "build_game": lambda x: build_game(1, {1: x}),
+    "additive_game": lambda x: additive_game((x, 1)),
+    "transform-scale": lambda x: transform(_V, x, (0, 0)),
+    "transform-shift": lambda x: transform(_V, 1, (x, 0)),
+    "subtract_allocation": lambda x: subtract_allocation(_V, (x, 0)),
+    "compromise": lambda x: compromise(_V, (x, 0), (4, 4)),
+    "constant_lower": lambda x: constant_lower(x)(_V),
+    "check_translation_covariance": lambda x: check_translation_covariance(
+        "MarginalContributions", _V, (x, 0)
+    ),
+    "check_axiom-probe": lambda x: check_axiom("Covariance", "tau", _V, probe=(x, (0, 0))),
+}
+
+
+@pytest.mark.parametrize("call", RATIONAL_INPUTS.values(), ids=list(RATIONAL_INPUTS))
+def test_binary_floats_are_refused(call):
+    with pytest.raises(CoopvalsError, match="float 0.5"):
+        call(0.5)
+    assert call(Fraction(1, 2)) == call("1/2")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import g_a, games
@@ -12,12 +13,14 @@ from coopvals import (
     BoundOrderViolated,
     CoopvalsError,
     DegenerateBounds,
+    DomainError,
     LBC_FAMILY,
     NonCovariantUpperBound,
     NotBalanced,
     NotInClass,
     NotRegularLowerBound,
     REGISTRY,
+    SamplerConfig,
     TooFewPlayers,
     VALUES,
     ValueResult,
@@ -30,16 +33,20 @@ from coopvals import (
     dual,
     eansc,
     egalitarian,
+    functional,
     gately,
     individual_worths,
     km,
     lbc_value,
     marginal_contributions,
     pansc,
+    sample_games,
     subtract_allocation,
     tau,
     ubc_value,
 )
+from coopvals.values import EANSC_ROUTES
+from coopvals.verify import CLASS_FILTERS
 
 F = Fraction
 
@@ -272,3 +279,22 @@ def test_lbc_closed_form_and_regularity(v):
         checked += 1
     # the zero lower bound is in class whenever v(N) >= 0
     assert checked > 0 or v.total < 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CLASS_FILTERS), st.integers(1, 4), st.integers(0, 2**32))
+def test_every_value_reports_its_declared_pair(class_filter, n, seed):
+    # The pair a value computes through is the pair values declares for it:
+    # AXIOM_PAIRS, and for EANSC the first route in EANSC_ROUTES covering v.
+    config = SamplerConfig(n_min=n, n_max=n, class_filter=class_filter, count=5, seed=seed)
+    for v in sample_games(config):
+        for vid, f in VALUES.items():
+            try:
+                r = f(v)
+            except DomainError:
+                continue
+            pair = AXIOM_PAIRS[vid]
+            if vid == "eansc":
+                pair = next(p for p, covers in EANSC_ROUTES.values() if covers(v))
+            declared = tuple(functional(fn).evaluate(v) for fn in pair)
+            assert (r.lower_used, r.upper_used) == declared, vid
