@@ -1,7 +1,8 @@
 """Exact-arithmetic compromise values for cooperative TU-games.
 
-Games are worth tables over coalition bitmasks with Fraction entries; every
-computation in the package is exact.  The public surface re-exports the
+Games are worth tables over coalition bitmasks, held as ints over their
+least common denominator and read as Fractions; every computation in the
+package is exact.  The public surface re-exports the
 game layer, the bound functionals, the named values, the verification
 suite, and the JSON game-file codec.
 """

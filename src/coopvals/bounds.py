@@ -145,9 +145,9 @@ def eta_from_lower(v: TUGame, mu: Sequence[Fraction]) -> BoundVector:
     mu = tuple(map(as_fraction, mu))
     if len(mu) != v.n:
         raise CoopvalsError(f"expected {v.n} bound components, got {len(mu)}")
-    vN = v.total
-    total = sum(mu)
-    return tuple(vN - (total - mu_i) for mu_i in mu)
+    # v(N) - (sum(mu) - mu_i), with the part common to every i taken once.
+    rest = v.total - sum(mu)
+    return tuple(rest + mu_i for mu_i in mu)
 
 
 def mu_from_upper_vector(v: TUGame, eta: Sequence[Fraction]) -> BoundVector:
@@ -165,13 +165,15 @@ def mu_from_upper(v: TUGame, eta_id: Union[str, "BoundFunctional"]) -> BoundVect
     coalitions containing i, so mu^eta >= individual worths always, and
     mu^eta <= eta exactly when v(S) <= eta(S) for every S.  Requires a
     translation covariant upper bound (the registry flag is checked).  Kept
-    in v.memo under ("mu_from_upper", functional)."""
+    in v.memo under ("mu_from_upper", fn(v)), so two functionals that give
+    one vector on v (M and Milnor on a convex game) share one sweep."""
     fn = functional(eta_id)
     if not fn.is_translation_covariant:
         raise NonCovariantUpperBound(
             f"{fn.id} is not translation covariant; cannot derive a lower bound"
         )
-    return v.remember(("mu_from_upper", fn), lambda: mu_from_upper_vector(v, fn(v)))
+    eta = fn(v)
+    return v.remember(("mu_from_upper", eta), lambda: mu_from_upper_vector(v, eta))
 
 
 def minimal_rights(v: TUGame) -> BoundVector:

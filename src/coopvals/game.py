@@ -5,10 +5,16 @@ v(empty) = 0.  A coalition is an int bit pattern: player i (0-based) is a
 member iff bit i of the pattern is set, so the full table has 2**n entries
 indexed 0 .. 2**n - 1 and the grand coalition is 2**n - 1.
 
-Worths are fractions.Fraction; there is no floating point here.  Sweeps
-over all coalitions run on TUGame.scaled, the table times the least common
-denominator L of its worths as ints (exact: they take sums, maxima, minima
-and comparisons, which commute with scaling), and divide by L at the end.
+The state of a game is the pair (L, W) of TUGame.scaled: L is the least
+common denominator of the worths and W[S] = L * v(S) as ints.  Sweeps over
+all coalitions run on W (exact: they take sums, maxima, minima and
+comparisons, which commute with scaling) and divide by L at the end.  The
+games derived from a game (transform, subtract_allocation, dual,
+zero_normalise) are linear maps of W and are built as (L', W') with
+TUGame.from_scaled, with no Fraction per coalition.  When L would exceed
+SCALE_CAP the state is (1, the worths as Fractions) instead, and the same
+code runs on the Fractions.  TUGame.worths, the Fraction table, is a view
+built on first use.  There is no floating point here.
 """
 
 from __future__ import annotations
@@ -17,11 +23,11 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from math import lcm
-from operator import add, ge, sub
+from itertools import chain, repeat
+from math import gcd, lcm
+from operator import add, ge, mul, sub
 from typing import (
-    Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Tuple, TypeVar, Union,
+    Callable, Hashable, Iterable, Mapping, Sequence, Tuple, TypeVar, Union,
 )
 
 from .errors import (
@@ -160,11 +166,24 @@ def zeta(table: list) -> None:
         bit <<= 1
 
 
-def halves(table: Sequence, i: int) -> Tuple[Iterator, Iterator]:
-    """Iterators over table[S + i] and table[S] for the S avoiding player i,
-    in increasing S: the k-th S is the k-th coalition of the other players."""
-    bit = 1 << i
-    blocks = range(bit, len(table), 2 * bit)
+def halves(table: Sequence, i: int) -> Tuple[Iterable, Iterable]:
+    """table[S + i] and table[S] for the S avoiding player i, in increasing
+    S: the k-th S is the k-th coalition of the other players.
+
+    The entries come in blocks of 2**i.  Below sqrt(len(table)) they are
+    gathered with one strided slice per offset within a block, above it
+    with one slice per block, so either way it takes at most about
+    sqrt(len(table)) slices.
+    """
+    bit, size = 1 << i, len(table)
+    step = 2 * bit
+    if bit * bit <= size:
+        upper, lower = [0] * (size // 2), [0] * (size // 2)
+        for k in range(bit):
+            upper[k::bit] = table[bit + k::step]
+            lower[k::bit] = table[k::step]
+        return upper, lower
+    blocks = range(bit, size, step)
     upper = chain.from_iterable(table[lo:lo + bit] for lo in blocks)
     return upper, chain.from_iterable(table[lo - bit:lo] for lo in blocks)
 
@@ -176,72 +195,164 @@ def _check_coalition(S: int, n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+def _check_players(n: int) -> None:
+    if n < 1:
+        raise TooFewPlayers(f"a game needs at least one player, got n={n}")
+    cap = player_cap()
+    if n > cap:
+        raise PlayerCountExceeded(f"n={n} exceeds the player cap {cap}")
+
+
+def _check_table(n: int, L: int, W: tuple) -> None:
+    if len(W) != 1 << n:
+        raise CoopvalsError(f"worth table must have {1 << n} entries, got {len(W)}")
+    if W[0] != 0:
+        raise NonzeroEmptyCoalition(f"v(empty) must be 0, got {Fraction(W[0], L)}")
+
+
+def _common_denominator(denominators: Iterable[int]) -> int | None:
+    """The least common multiple of the denominators, or None once it passes
+    SCALE_CAP (so a hostile table never grows it further)."""
+    L = 1
+    for q in denominators:
+        if L % q:
+            L = lcm(L, q)
+            if L > SCALE_CAP:
+                return None
+    return L
+
+
+@dataclass(frozen=True, init=False)
 class TUGame:
     """A TU-game: player count n and a dense worth table over all coalitions.
 
-    worths[S] is v(S) for the bit-pattern coalition S; worths[0] must be 0.
+    TUGame(n, worths, labels) takes worths[S] = v(S) for every bit-pattern
+    coalition S, with worths[0] = 0.  The state is scaled = (L, W): L the
+    least common denominator of the worths and W[S] = L * v(S) as ints, or
+    (1, the worths as Fractions) when L would exceed SCALE_CAP.
+    TUGame.from_scaled(n, L, W, labels) builds a game from such a pair with
+    no Fraction per coalition.  ==, hash and pickling work on (n, scaled),
+    which is reduced, so equal games compare equal however they were built.
+
     Instances are immutable and safe to share across threads.  Besides the
-    fields, a game carries caches of what is derived from it: scaled, and
-    memo, which holds each bound vector, named value, shifted game and class
-    verdict the first time it is computed (see remember and in_class).  Every
-    entry is a pure function of the fields, so two threads filling one entry
-    at once both compute the same result and either write leaves it correct.
-    The caches take no part in ==, hash or pickling.
+    state, a game carries caches of what is derived from it: worths, the
+    Fraction table, a view of scaled built on first use (the constructor
+    keeps the table it was given); total, v(N); the singleton worths and the
+    marginal vector; and memo, which holds each bound vector, named value,
+    shifted game and class verdict the first time it is computed (see
+    remember and in_class).  Every entry is a pure function of the state, so
+    two threads filling one entry at once both compute the same result and
+    either write leaves it correct.  The caches take no part in ==, hash or
+    pickling.
     """
 
     n: int
-    worths: Tuple[Fraction, ...]
+    scaled: Tuple[int, tuple]
     labels: Tuple[str, ...] | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise TooFewPlayers(f"a game needs at least one player, got n={self.n}")
-        cap = player_cap()
-        if self.n > cap:
-            raise PlayerCountExceeded(f"n={self.n} exceeds the player cap {cap}")
-        table = tuple(map(as_fraction, self.worths))
-        if len(table) != 1 << self.n:
-            raise CoopvalsError(
-                f"worth table must have {1 << self.n} entries, got {len(table)}"
-            )
-        if table[0] != 0:
-            raise NonzeroEmptyCoalition(f"v(empty) must be 0, got {table[0]}")
-        object.__setattr__(self, "worths", table)
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != self.n:
-                raise CoopvalsError(
-                    f"expected {self.n} player labels, got {len(labels)}"
-                )
-            object.__setattr__(self, "labels", labels)
+    def __init__(
+        self,
+        n: int,
+        worths: Iterable[RationalLike],
+        labels: Sequence[str] | None = None,
+    ) -> None:
+        _check_players(n)
+        table = tuple(map(as_fraction, worths))
+        _check_table(n, 1, table)
+        L = _common_denominator({w.denominator for w in table})
+        if L is None:
+            state = (1, table)
+        else:
+            state = (L, tuple(w.numerator * (L // w.denominator) for w in table))
+        self._set(n, state, labels)
+        self.__dict__["worths"] = table
+
+    @classmethod
+    def from_scaled(
+        cls,
+        n: int,
+        L: int,
+        W: Iterable[int],
+        labels: Sequence[str] | None = None,
+    ) -> TUGame:
+        """The game with v(S) = W[S] / L, for a positive int L and one int
+        W[S] per coalition; or for a pair as scaled gives it past SCALE_CAP,
+        L = 1 and the worths as Fractions.
+
+        (L, W) is divided by gcd(L, *W), so the stored L is the least common
+        denominator.  Checks n, the table length and W[0] = 0 as the
+        constructor does, and keeps Fractions past SCALE_CAP as it does.
+        """
+        _check_players(n)
+        if type(L) is not int or L < 1:
+            raise CoopvalsError(f"L must be a positive int, got {L!r}")
+        W = tuple(W)
+        _check_table(n, L, W)
+        try:
+            g = gcd(L, *W)
+        except TypeError:  # not ints: the Fractions kept past SCALE_CAP
+            return cls(n, [as_fraction(w) / L for w in W], labels)
+        if g != 1:
+            L //= g
+            W = tuple(w // g for w in W)
+        if L > SCALE_CAP:
+            return cls(n, [Fraction(w, L) for w in W], labels)
+        game = cls.__new__(cls)
+        game._set(n, (L, W), labels)
+        return game
+
+    def _set(self, n: int, state: Tuple[int, tuple], labels) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "scaled", state)
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
+            if len(labels) != n:
+                raise CoopvalsError(f"expected {n} player labels, got {len(labels)}")
+        object.__setattr__(self, "labels", labels)
 
     @property
     def grand(self) -> int:
         """Bit pattern of the grand coalition N."""
         return (1 << self.n) - 1
 
-    @property
+    @cached_property
+    def worths(self) -> Tuple[Fraction, ...]:
+        """v(S) for every coalition S, as Fractions: a view of scaled."""
+        L, W = self.scaled
+        return tuple(Fraction(w, L) for w in W)
+
+    @cached_property
     def total(self) -> Fraction:
         """v(N)."""
-        return self.worths[self.grand]
+        return self.worth(self.grand)
+
+    @cached_property
+    def _singletons(self) -> Allocation:
+        return tuple(self.worth(1 << i) for i in range(self.n))
+
+    @cached_property
+    def _marginals(self) -> Allocation:
+        L, W = self.scaled
+        top, full = W[-1], self.grand
+        return tuple(Fraction(top - W[full ^ (1 << i)], L) for i in range(self.n))
 
     def worth(self, S: int) -> Fraction:
         _check_coalition(S, self.n)
-        return self.worths[S]
+        L, W = self.scaled
+        return Fraction(W[S], L)
 
     def __getstate__(self) -> dict:
-        # Pickle the fields only: memo entries may hold unpicklable lambdas.
-        return {k: self.__dict__[k] for k in ("n", "worths", "labels")}
+        # Pickle the state only: memo entries may hold unpicklable lambdas.
+        return {k: self.__dict__[k] for k in ("n", "scaled", "labels")}
 
     @cached_property
     def memo(self) -> dict:
         """Results derived from this game, keyed by what derived them: a bound
         functional (by identity), ("shifted", functional), ("mu_from_upper",
-        functional), a value name, or ("class", name) for each name of
-        CLASSES decided so far.  Keys never come from caller-supplied
-        vectors, so the memo is bounded by the functionals, values and
-        classes in the program."""
+        eta) for an upper bound vector eta some functional gave on this game,
+        a value name, or ("class", name) for each name of CLASSES decided so
+        far.  Keys never come from caller-supplied vectors, so the memo is
+        bounded by the functionals, values and classes in the program."""
         return {}
 
     def remember(self, key: Hashable, compute: Callable[[], T]) -> T:
@@ -251,26 +362,29 @@ class TUGame:
             memo[key] = compute()
         return memo[key]
 
-    @cached_property
-    def scaled(self) -> Tuple[int, tuple]:
-        """(L, L*v): L the least common denominator of the worths, and the
-        worths times L as ints.  (1, worths) when L exceeds SCALE_CAP."""
-        L = 1
-        for w in self.worths:
-            if L % w.denominator:
-                L = lcm(L, w.denominator)
-                if L > SCALE_CAP:
-                    return 1, self.worths
-        return L, tuple(w.numerator * (L // w.denominator) for w in self.worths)
+
+def _from_pairs(n: int, pairs: Sequence[Tuple[int, int]], labels=None) -> TUGame:
+    """The game with v(S) = p / q for the int pair (p, q), q > 0, at index S
+    of pairs, built over the common denominator of the q (with Fractions
+    past SCALE_CAP)."""
+    L = _common_denominator({q for _, q in pairs})
+    if L is None:
+        return TUGame(n, [Fraction(p, q) for p, q in pairs], labels)
+    return TUGame.from_scaled(n, L, [p * (L // q) for p, q in pairs], labels)
 
 
 def scaled_with(v: TUGame, x: Sequence[RationalLike]) -> Tuple[int, Sequence, list]:
     """(L, L*v, L*x) as in TUGame.scaled, for a common denominator L of the
-    game and the vector x; (1, worths, x) when L would exceed SCALE_CAP."""
+    game and the vector x; (1, v.worths, x) when v keeps Fractions or L
+    would exceed SCALE_CAP."""
     L, W = v.scaled
     x = list(map(as_fraction, x))
-    common = lcm(L, *(c.denominator for c in x))
-    if common > SCALE_CAP:
+    # The table holds ints, or Fractions past SCALE_CAP; W[0] is 0 either way.
+    if type(W[0]) is int:
+        common = _common_denominator({L, *(c.denominator for c in x)})
+    else:
+        common = None
+    if common is None:
         return 1, v.worths, x
     if common != L:
         W = [w * (common // L) for w in W]
@@ -350,21 +464,20 @@ def worth(v: TUGame, S: int) -> Fraction:
 
 def dual(v: TUGame) -> TUGame:
     """The dual game v*(S) = v(N) - v(N minus S)."""
-    full = v.grand
-    vN = v.total
-    table = tuple(vN - v.worths[full ^ S] for S in range(1 << v.n))
-    return TUGame(v.n, table, v.labels)
+    # N minus S is grand - S, so W reversed lists W[N minus S] in S order.
+    L, W = v.scaled
+    top = W[-1]
+    return TUGame.from_scaled(v.n, L, [top - w for w in reversed(W)], v.labels)
 
 
 def individual_worths(v: TUGame) -> Allocation:
     """The vector of singleton worths (v_1, ..., v_n)."""
-    return tuple(v.worths[1 << i] for i in range(v.n))
+    return v._singletons
 
 
 def marginal_contributions(v: TUGame) -> Allocation:
     """M_i(v) = v(N) - v(N-i)."""
-    full, vN = v.grand, v.total
-    return tuple(vN - v.worths[full ^ (1 << i)] for i in range(v.n))
+    return v._marginals
 
 
 def zero_normalise(v: TUGame) -> TUGame:
@@ -377,21 +490,28 @@ def transform(v: TUGame, scale: RationalLike, shift: Sequence[RationalLike]) -> 
     scale = as_fraction(scale)
     if scale <= 0:
         raise NonPositiveScale(f"scale must be positive, got {scale}")
-    x = tuple(map(as_fraction, shift))
-    if len(x) != v.n:
-        raise CoopvalsError(f"shift must have {v.n} components, got {len(x)}")
-    L, W, x = scaled_with(v, x)
+    # With scale = p / q: (p * L*v + q * L*shift) / (q * L).
     p, q = scale.numerator, scale.denominator
-    table = tuple(
-        Fraction(p * w + q * t, q * L) for w, t in zip(W, additive_table(x))
-    )
-    return TUGame(v.n, table, v.labels)
+    L, W, shifts = _scaled_shift(v, shift)
+    if p != 1:
+        W = list(map(mul, W, repeat(p)))
+    if q != 1:
+        shifts = list(map(mul, shifts, repeat(q)))
+    return TUGame.from_scaled(v.n, q * L, list(map(add, W, shifts)), v.labels)
 
 
 def subtract_allocation(v: TUGame, x: Sequence[RationalLike]) -> TUGame:
     """The shifted game (v - x)(S) = v(S) - x(S)."""
-    neg = tuple(-as_fraction(c) for c in x)
-    return transform(v, 1, neg)
+    L, W, shifts = _scaled_shift(v, x)
+    return TUGame.from_scaled(v.n, L, list(map(sub, W, shifts)), v.labels)
+
+
+def _scaled_shift(v: TUGame, x: Sequence[RationalLike]) -> Tuple[int, Sequence, list]:
+    """(L, L*v, L*x(S) for every S) as in scaled_with."""
+    L, W, X = scaled_with(v, x)
+    if len(X) != v.n:
+        raise CoopvalsError(f"shift must have {v.n} components, got {len(X)}")
+    return L, W, additive_table(X)
 
 
 def base_game(n: int, S: int) -> TUGame:
@@ -399,9 +519,9 @@ def base_game(n: int, S: int) -> TUGame:
     if S == 0:
         raise EmptyBaseCoalition("base games need a nonempty coalition")
     _check_coalition(S, n)
-    table = [Fraction(0)] * (1 << n)
-    table[S] = Fraction(1)
-    return TUGame(n, tuple(table))
+    table = [0] * (1 << n)
+    table[S] = 1
+    return TUGame.from_scaled(n, 1, table)
 
 
 def additive_game(x: Sequence[RationalLike]) -> TUGame:
@@ -415,10 +535,7 @@ def unanimity_game(n: int, T: int) -> TUGame:
     if T == 0:
         raise EmptyBaseCoalition("unanimity games need a nonempty carrier")
     _check_coalition(T, n)
-    table = tuple(
-        Fraction(1) if S & T == T else Fraction(0) for S in range(1 << n)
-    )
-    return TUGame(n, table)
+    return TUGame.from_scaled(n, 1, [int(S & T == T) for S in range(1 << n)])
 
 
 

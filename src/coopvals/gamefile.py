@@ -31,10 +31,11 @@ import json
 import re
 from fractions import Fraction
 from itertools import compress
-from typing import Union
+from math import gcd
+from typing import Tuple, Union
 
 from .errors import ParseError, PlayerCountExceeded, TooFewPlayers
-from .game import TUGame, as_fraction, player_cap
+from .game import TUGame, _from_pairs, player_cap
 
 __all__ = ["parse_game_file", "serialise_game", "game_doc"]
 
@@ -84,14 +85,26 @@ def _checked_literal(text: str, where) -> re.Match:
     return match
 
 
-def _literal(text: str, where) -> Fraction:
-    """The exact value of a rational literal in the documented grammar."""
+def _pair(text: str, where) -> Tuple[int, int]:
+    """The exact value p / q of a rational literal in the documented grammar,
+    as the int pair (p, q) with q > 0, not necessarily reduced."""
     whole, denominator, decimals, exponent = _checked_literal(text, where).groups()
     if denominator is not None:
-        return Fraction(int(whole), int(denominator))
-    if decimals is None and exponent is None:
-        return Fraction(int(whole))
-    return Fraction(text)
+        return int(whole), int(denominator)
+    digits = decimals[1:] if decimals else ""
+    p, q = int(whole + digits), 10 ** len(digits)
+    if exponent is not None:
+        e = int(exponent)
+        if e >= 0:
+            p *= 10**e
+        else:
+            q *= 10**-e
+    return p, q
+
+
+def _literal(text: str, where) -> Fraction:
+    """The exact value of a rational literal in the documented grammar."""
+    return Fraction(*_pair(text, where))
 
 
 def _json_int(token: str) -> int:
@@ -99,15 +112,18 @@ def _json_int(token: str) -> int:
     return int(token)
 
 
-def _to_fraction(value, where) -> Fraction:
+def _to_pair(value, where) -> Tuple[int, int]:
     # Strings first: they are the common case, and testing them against
-    # Fraction would take the slow abstract-class path.
+    # Fraction would take the slow abstract-class path.  A Fraction is a JSON
+    # number with a fraction or an exponent, read by _literal.
     if isinstance(value, str):
-        return _literal(value, where)
+        return _pair(value, where)
     if isinstance(value, bool):
         raise ParseError(f"{_place(where)}: expected a rational, got a boolean")
-    if isinstance(value, (int, Fraction)):
-        return as_fraction(value)
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise ParseError(
         f"{_place(where)}: expected a rational, got {type(value).__name__}"
     )
@@ -190,7 +206,7 @@ def parse_game_file(data: Union[bytes, str]) -> TUGame:
         # Valid keys are distinct (JSON keys are unique and each coalition
         # has one spelling) and never name the empty coalition.
         bits = {str(i + 1): 1 << i for i in range(n)}
-        worths = [Fraction(0)] * (1 << n)
+        worths = [(0, 1)] * (1 << n)
         for key, value in table.items():
             mask = 0
             for token in key.split(","):
@@ -198,7 +214,7 @@ def parse_game_file(data: Union[bytes, str]) -> TUGame:
                 if bit <= mask:  # not a player, or not above the ones before
                     _key_to_mask(key, n)  # raises the ParseError
                 mask |= bit
-            worths[mask] = _to_fraction(value, ("worths", key))
+            worths[mask] = _to_pair(value, ("worths", key))
     else:
         dense = doc["worths_by_mask"]
         if not isinstance(dense, list):
@@ -208,10 +224,10 @@ def parse_game_file(data: Union[bytes, str]) -> TUGame:
                 f"'worths_by_mask' must have {1 << n} entries, got {len(dense)}"
             )
         worths = [
-            _to_fraction(value, ("worths_by_mask", index))
+            _to_pair(value, ("worths_by_mask", index))
             for index, value in enumerate(dense)
         ]
-    return TUGame(n, tuple(worths), None if labels is None else tuple(labels))
+    return _from_pairs(n, worths, labels)
 
 
 def _key_table(first: int, stop: int) -> list:
@@ -224,6 +240,15 @@ def _key_table(first: int, stop: int) -> list:
     return keys
 
 
+def _spell(w, L: int) -> str:
+    """str(Fraction(w, L)), from one gcd: reduced, and with no "/1".  With L
+    = 1, w is an int or, past SCALE_CAP, already a Fraction."""
+    if L == 1:
+        return str(w)
+    g = gcd(w, L)
+    return str(w // g) if g == L else f"{w // g}/{L // g}"
+
+
 def game_doc(v: TUGame) -> dict:
     """The canonical sparse JSON document for v (zero worths omitted)."""
     doc: dict = {"players": v.n}
@@ -234,11 +259,12 @@ def game_doc(v: TUGame) -> dict:
     half = v.n // 2
     low, high = _key_table(0, half), _key_table(half, v.n)
     low_mask = len(low) - 1
+    L, W = v.scaled
     worths = {}
-    for S in compress(range(1 << v.n), v.worths):  # S with v(S) != 0
+    for S in compress(range(1 << v.n), W):  # S with v(S) != 0
         low_key, high_key = low[S & low_mask], high[S >> half]
         key = f"{low_key},{high_key}" if low_key and high_key else low_key or high_key
-        worths[key] = str(v.worths[S])
+        worths[key] = _spell(W[S], L)
     doc["worths"] = worths
     return doc
 

@@ -24,7 +24,6 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from operator import add
 from typing import Any, Callable, Iterable, Sequence, Tuple
 
@@ -40,8 +39,9 @@ from .errors import (
 )
 from .game import (
     CLASSES,
-    SCALE_CAP,
     TUGame,
+    _common_denominator,
+    _from_pairs,
     additive_table,
     as_fraction,
     dual,
@@ -265,15 +265,13 @@ def _draw_pair(
     return rng.randint(low, high), rng.randint(1, config.denominator_max)
 
 
-def _draw_fraction(rng: random.Random, config: SamplerConfig) -> Fraction:
-    p, q = _draw_pair(rng, config.numerator_min, config.numerator_max, config)
-    return Fraction(p, q)
-
-
 def _draw_any(rng: random.Random, config: SamplerConfig, n: int) -> TUGame:
-    table = [Fraction(0)]
-    table.extend(_draw_fraction(rng, config) for _ in range((1 << n) - 1))
-    return TUGame(n, tuple(table))
+    pairs = [(0, 1)]
+    pairs.extend(
+        _draw_pair(rng, config.numerator_min, config.numerator_max, config)
+        for _ in range((1 << n) - 1)
+    )
+    return _from_pairs(n, pairs)
 
 
 def _draw_convex(rng: random.Random, config: SamplerConfig, n: int) -> TUGame:
@@ -288,9 +286,9 @@ def _draw_convex(rng: random.Random, config: SamplerConfig, n: int) -> TUGame:
         _draw_pair(rng, config.numerator_min, config.numerator_max, config)
         for _ in range(n)
     ]
-    L = lcm(*{q for _, q in coeffs + shift})
-    if L > SCALE_CAP:
-        # As in TUGame.scaled, sums past the cap run on the Fractions.
+    L = _common_denominator({q for _, q in coeffs + shift})
+    if L is None:
+        # As in TUGame.scaled, sums past SCALE_CAP run on the Fractions.
         table = [0] + [Fraction(p, q) for p, q in coeffs]
         zeta(table)
         shifts = additive_table([Fraction(p, q) for p, q in shift])
@@ -298,7 +296,7 @@ def _draw_convex(rng: random.Random, config: SamplerConfig, n: int) -> TUGame:
     table = [0] + [p * (L // q) for p, q in coeffs]
     zeta(table)
     shifts = additive_table([p * (L // q) for p, q in shift])
-    return TUGame(n, tuple(Fraction(t + x, L) for t, x in zip(table, shifts)))
+    return TUGame.from_scaled(n, L, list(map(add, table, shifts)))
 
 
 def sample_games(config: SamplerConfig) -> list[TUGame]:
@@ -495,14 +493,21 @@ def _eansc_dual_identity(v: TUGame) -> Witness | None:
 
 
 def _eansc_route_agreement(v: TUGame) -> Witness | None:
-    """Rebuild EANSC through each bound-pair route that covers v."""
-    alloc = values.eansc(v).allocation
-    for (mu, eta), covers in values.EANSC_ROUTES.values():
-        if covers(v):
-            rebuilt = values.compromise(v, functional(mu)(v), functional(eta)(v))
-            witness = first_difference(alloc, rebuilt.allocation)
-            if witness is not None:
-                return witness
+    """EANSC and its rebuild through each bound-pair route that covers v
+    equal the closed form M_i + (v(N) - sum_j M_j) / n."""
+    M = bounds.marginal_contributions(v)
+    residual = (v.total - sum(M)) / v.n
+    closed = tuple(c + residual for c in M)
+    allocations = [values.eansc(v).allocation]
+    allocations += [
+        values.compromise(v, functional(mu)(v), functional(eta)(v)).allocation
+        for (mu, eta), covers in values.EANSC_ROUTES.values()
+        if covers(v)
+    ]
+    for alloc in allocations:
+        witness = first_difference(alloc, closed)
+        if witness is not None:
+            return witness
     return None
 
 

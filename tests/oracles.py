@@ -92,6 +92,15 @@ def dual_table(table):
     return {s: total - table[everyone - s] for s in subsets(everyone)}
 
 
+def affine_table(table, scale, shift):
+    """scale * v + x: scale times the worth of each coalition, plus the shift
+    of each of its members (shift maps 1-based players to Fractions)."""
+    return {
+        s: scale * worth + sum((shift[p] for p in s), Fraction(0))
+        for s, worth in table.items()
+    }
+
+
 def extreme_marginal_vectors(table):
     """(Kikuta, Milnor): the least and the largest marginal contribution
     v(S) - v(S - i) of each player over the coalitions S containing i."""

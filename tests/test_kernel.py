@@ -6,8 +6,11 @@ the oracles, coalition by coalition.  The games mix small denominators with
 pairwise coprime Fermat numbers 2^(2^k) + 1, so both sides of the cap occur.
 """
 
+import pickle
+from contextlib import contextmanager
 from dataclasses import astuple
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,14 +23,17 @@ from coopvals import (
     TUGame,
     chi,
     classify,
+    dual,
     eansc,
     is_strongly_upper_bounded,
     kikuta_lower,
     km,
     membership,
     milnor_upper,
+    subtract_allocation,
     transform,
     ubc_value,
+    zero_normalise,
 )
 from coopvals.bounds import BoundFunctional, mu_from_upper_vector
 from coopvals.game import (
@@ -242,3 +248,93 @@ def test_chi_km_eansc_match_oracles(v):
             chi(v)
     else:
         assert chi(v).allocation == _vec(expected)
+
+
+def _from_table(table, n):
+    """The package game of an oracle table."""
+    return TUGame(n, [
+        table[frozenset(p for p in range(1, n + 1) if mask >> (p - 1) & 1)]
+        for mask in range(1 << n)
+    ])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    wide_games,
+    rationals.filter(lambda c: c > 0),
+    st.lists(rationals, min_size=6, max_size=6),
+)
+# Fermat denominators: the common denominator passes SCALE_CAP.
+@example(
+    TUGame(3, [0] + [Fraction(1, FERMAT[k + 3]) for k in range(7)]),
+    Fraction(2, 3),
+    [Fraction(1, 2)] * 6,
+)
+def test_scaled_state_round_trips_and_derived_games_match_oracles(v, scale, draws):
+    L, W = v.scaled
+    within_cap = lcm(*(w.denominator for w in v.worths)) <= SCALE_CAP
+    assert (type(W[0]) is int) == within_cap
+    again = TUGame.from_scaled(v.n, L, W)
+    restored = pickle.loads(pickle.dumps(v))
+    for twin in (again, restored):
+        assert twin == v and hash(twin) == hash(v)
+        assert twin.worths == v.worths
+    if within_cap:
+        # A common denominator that is not the least is reduced away.
+        assert TUGame.from_scaled(v.n, 6 * L, [6 * w for w in W]).scaled == v.scaled
+
+    table = oracles.game_from_tugame(v)
+    shift = tuple(draws[:v.n])
+    negated = {i: -c for i, c in _keyed(shift).items()}
+    nu = {i: -table[frozenset({i})] for i in range(1, v.n + 1)}
+    for derived, expected in (
+        (transform(v, scale, shift), oracles.affine_table(table, scale, _keyed(shift))),
+        (subtract_allocation(v, shift), oracles.affine_table(table, 1, negated)),
+        (zero_normalise(v), oracles.affine_table(table, 1, nu)),
+        (dual(v), oracles.dual_table(table)),
+    ):
+        built = _from_table(expected, v.n)
+        assert derived == built and hash(derived) == hash(built)
+        assert derived.scaled == built.scaled
+        assert derived.worths == built.worths
+
+
+@contextmanager
+def counted_fractions():
+    """A list that grows by one for each Fraction constructed."""
+    built = []
+    slot = Fraction.__dict__["__new__"]
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return original(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = slot
+
+
+def test_derived_games_build_no_fraction_per_coalition():
+    n = 8
+    v = TUGame(n, [Fraction(S % 7 - 3, 1 + S % 4) if S else 0 for S in range(1 << n)])
+    shift = [Fraction(i - 3, 1 + i % 3) for i in range(n)]
+    assert v.scaled[0] == 12
+    for derive in (
+        lambda: transform(v, 3, shift),
+        lambda: transform(v, Fraction(2, 5), [1] * n),
+        lambda: dual(v),
+        lambda: subtract_allocation(v, shift),
+        lambda: zero_normalise(v),
+    ):
+        with counted_fractions() as built:
+            derive()
+        assert len(built) <= 2 * n
+    # The counter sees one construction per coalition where there is one: in
+    # the Fraction view of a derived game, built on first use.
+    derived = dual(v)
+    with counted_fractions() as built:
+        derived.worths
+    assert len(built) == 1 << n

@@ -204,6 +204,33 @@ def test_eansc_route_agreement_catches_a_wrong_allocation(g2, g6, monkeypatch):
     assert row.witness.rhs == real(g2).allocation
 
 
+def test_eansc_route_agreement_checks_routes_against_the_closed_form(monkeypatch):
+    # A route whose pair gives the KM value instead of EANSC: eansc itself
+    # computes through it on M-upper games, so comparing EANSC with the
+    # rebuilt route would pass; the closed form does not.
+    config = SamplerConfig(n_min=3, n_max=3, class_filter="M-upper", count=12, seed=2)
+
+    def row():
+        games = sample_games(config)
+        report = run_suite_on_games(games, negative_fixtures=False)
+        return games, {c.check_id: c for c in report.checks}["eansc_route_agreement"]
+
+    games, honest = row()
+    assert honest.passed == len(games) and honest.failed == 0
+    covers = values.EANSC_ROUTES["(mu~, M)"][1]
+    monkeypatch.setitem(
+        values.EANSC_ROUTES, "(mu~, M)", (("KikutaLower", "MilnorUpper"), covers)
+    )
+    games, wrong = row()
+    closed = [
+        tuple(c for _, c in sorted(oracles.eansc_vector(oracles.game_from_tugame(v)).items()))
+        for v in games
+    ]
+    differ = [e for v, e in zip(games, closed) if values.km(v).allocation != e]
+    assert wrong.failed == len(differ) >= 1 and not wrong.ok
+    assert wrong.witness.rhs == differ[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64),
