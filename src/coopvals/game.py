@@ -433,9 +433,8 @@ def build_game(
         items: Iterable[Tuple[int, RationalLike]] = entries.items()
     else:
         items = entries
-    table = [Fraction(0)] * (1 << n if 1 <= n <= player_cap() else 1)
-    # Delegate the n range checks to TUGame, but validate entries here so the
-    # duplicate / index errors name the offending coalition.
+    # Validate entries here so the duplicate / index errors name the
+    # offending coalition.
     seen = set()
     pending = []
     for S, w in items:
@@ -448,12 +447,11 @@ def build_game(
                 raise NonzeroEmptyCoalition(f"v(empty) must be 0, got {w}")
             continue
         pending.append((S, w))
-    probe = TUGame(n, tuple(table))  # validates n and the zero game
+    _check_players(n)
+    table = [Fraction(0)] * (1 << n)
     for S, w in pending:
         _check_coalition(S, n)
         table[S] = w
-    if not pending and labels is None:
-        return probe
     return TUGame(n, tuple(table), None if labels is None else tuple(labels))
 
 

@@ -19,10 +19,11 @@ used and its class guard failures as NotInClass errors.
 
 The functions here only compute: they guard their inputs and trust the
 registry flags, and each named value is computed once per game and read
-back from the game's memo after that.  The identities that tie the named
-formulas to the engine (closed forms, agreeing routes) are checked by the
-test suite and by the verification suite in coopvals.verify, not on every
-call.
+back from the game's memo after that.  Every weight and allocation is
+formed by one step, _mix; a ValueResult stores its fields as given.  The
+identities that tie the named formulas to the engine (the mixture
+identity, closed forms, agreeing routes) are checked by the test suite and
+by the verification suite in coopvals.verify, not on every call.
 """
 
 from __future__ import annotations
@@ -70,8 +71,11 @@ class ValueResult:
     """An allocation plus the bound pair and mixing weight that produced it.
 
     lam is the weight on the upper bound and is absent when the two bounds
-    coincide.  The engine guarantees efficiency and bracketing for results
-    it produces; PANSC outside its bracket reports lam > 1 (see pansc).
+    coincide.  Fields are stored as given; for results built here,
+    allocation = lower_used + lam * (upper_used - lower_used), and the test
+    suite checks that identity.  The engine guarantees efficiency and
+    bracketing for results it produces; PANSC outside its bracket reports
+    lam > 1 (see pansc).
     """
 
     value_id: str
@@ -81,23 +85,21 @@ class ValueResult:
     upper_used: Tuple[Fraction, ...]
     route: str | None = None
 
-    def __post_init__(self) -> None:
-        alloc = tuple(map(as_fraction, self.allocation))
-        lower = tuple(map(as_fraction, self.lower_used))
-        upper = tuple(map(as_fraction, self.upper_used))
-        if not (len(alloc) == len(lower) == len(upper)):
-            raise CoopvalsError("allocation and bound vectors differ in length")
-        object.__setattr__(self, "allocation", alloc)
-        object.__setattr__(self, "lower_used", lower)
-        object.__setattr__(self, "upper_used", upper)
-        if self.lam is not None:
-            lam = as_fraction(self.lam)
-            object.__setattr__(self, "lam", lam)
-            mix = tuple(
-                lam * u + (1 - lam) * m for m, u in zip(lower, upper)
-            )
-            if mix != alloc:
-                raise CoopvalsError("allocation does not match its mixing weight")
+
+def _mix(
+    v: TUGame, mu: BoundVector, eta: BoundVector, value_id: str, route: str | None = None
+) -> ValueResult:
+    """The efficient point mu + lam * (eta - mu); no weight when mu = eta.
+
+    Callers guard their own domain; this only needs sum(eta) != sum(mu)
+    whenever mu != eta.
+    """
+    if mu == eta:
+        return ValueResult(value_id, mu, None, mu, eta, route)
+    s_mu = sum(mu)
+    lam = (v.total - s_mu) / (sum(eta) - s_mu)
+    alloc = tuple(m + lam * (e - m) for m, e in zip(mu, eta))
+    return ValueResult(value_id, alloc, lam, mu, eta, route)
 
 
 def _as_vector(x: Sequence, n: int, what: str) -> BoundVector:
@@ -134,11 +136,7 @@ def compromise(
         raise NotBalanced(
             f"v(N) = {vN} is outside the bound bracket [{s_mu}, {s_eta}]"
         )
-    if mu == eta:
-        return ValueResult(value_id, mu, None, mu, eta, route)
-    lam = (vN - s_mu) / (s_eta - s_mu)
-    alloc = tuple(lam * e + (1 - lam) * m for m, e in zip(mu, eta))
-    return ValueResult(value_id, alloc, lam, mu, eta, route)
+    return _mix(v, mu, eta, value_id, route)
 
 
 def lbc_value(
@@ -206,39 +204,27 @@ def chi(v: TUGame) -> ValueResult:
     return v.remember("chi", lambda: ubc_value(v, "MilnorUpper", value_id="chi"))
 
 
-def gately(v: TUGame, *, strict: bool = False) -> ValueResult:
+def gately(v: TUGame) -> ValueResult:
     """The compromise of individual worths and marginal contributions.
 
-    Defined on essential games.  The defining formula is evaluated whenever
-    the game is essential and sum(M - nu) > 0; strict mode additionally
-    rejects games where some nu_i exceeds M_i, keeping bracketing honest.
+    Defined on essential games with sum(M - nu) > 0 or nu = M.  The formula
+    is evaluated even where some nu_i exceeds M_i; the bracketed Gately
+    value, which refuses such games, is compromise(v, individual_worths(v),
+    marginal_contributions(v), value_id="gately").
     """
-    return v.remember(("gately", strict), lambda: _gately(v, strict))
+    return v.remember("gately", lambda: _gately(v))
 
 
-def _gately(v: TUGame, strict: bool) -> ValueResult:
+def _gately(v: TUGame) -> ValueResult:
     if not in_class(v, "essential"):
         raise NotInClass("essential")
     nu = individual_worths(v)
     M = bounds.marginal_contributions(v)
-    vN = v.total
-    if strict:
-        for i in range(v.n):
-            if nu[i] > M[i]:
-                raise BoundOrderViolated(
-                    f"individual worth exceeds marginal contribution at "
-                    f"player {i + 1}: {nu[i]} > {M[i]}"
-                )
-    spread = sum(M) - sum(nu)
-    if spread == 0:
-        if nu == M:
-            return ValueResult("gately", nu, None, nu, M)
+    if nu != M and sum(M) == sum(nu):
         raise DegenerateBounds(
             "sum(M - nu) = 0 with nu != M leaves the formula undefined"
         )
-    lam = (vN - sum(nu)) / spread
-    alloc = tuple(n_i + lam * (M_i - n_i) for n_i, M_i in zip(nu, M))
-    return ValueResult("gately", alloc, lam, nu, M)
+    return _mix(v, nu, M, "gately")
 
 
 def cis(v: TUGame) -> ValueResult:
@@ -268,15 +254,9 @@ def _pansc(v: TUGame) -> ValueResult:
             raise BoundOrderViolated(
                 f"marginal contribution of player {i + 1} is negative: {M[i]}"
             )
-    zero = (Fraction(0),) * v.n
-    s_M = sum(M)
-    if s_M == 0:
-        if vN == 0:
-            return ValueResult("pansc", zero, None, zero, M)
+    if vN != 0 and sum(M) == 0:
         raise DegenerateBounds("sum(M) = 0 cannot pay out v(N) != 0")
-    lam = vN / s_M
-    alloc = tuple(lam * M_i for M_i in M)
-    return ValueResult("pansc", alloc, lam, zero, M)
+    return _mix(v, (Fraction(0),) * v.n, M, "pansc")
 
 
 def egalitarian(v: TUGame) -> ValueResult:

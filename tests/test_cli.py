@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coopvals import classify, parse_game_file
+from coopvals import SamplerConfig, classify, parse_game_file, run_suite
 from coopvals.cli import _approx, _scientific, build_parser, main
 
 G6 = {
@@ -174,6 +174,14 @@ def test_check_sample_json(capsys):
     fixture = rows["bound_pair:IndividualWorths,EtaTrivial"]
     assert fixture["expected_negative"] is True
     assert fixture["failed"] >= 1
+
+
+def test_check_sample_with_one_player(capsys):
+    # With one player EtaTrivial is covariant and (IndividualWorths,
+    # EtaTrivial) is a bound pair: their negative rows skip such games.
+    assert run_suite(SamplerConfig(n_min=1, n_max=1, count=20)).ok
+    assert main(["check", "--sample", "--n", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok: true"
 
 
 def test_check_failing_suite_exit_code(game_file, capsys):

@@ -11,7 +11,6 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -31,7 +30,6 @@ from coopvals import (
     check_translation_covariance,
     classify,
     constant_lower,
-    gately,
     individual_worths,
     is_regular_lower,
     is_strongly_upper_bounded,
@@ -166,8 +164,7 @@ def test_a_warm_game_gives_what_a_fresh_game_gives(v):
     _warm(v)
     assert v.memo
     fresh = TUGame(v.n, v.worths)
-    strict_gately = partial(gately, strict=True)
-    for f in (strict_gately, *FUNCTIONALS, *VALUES.values()):
+    for f in (*FUNCTIONALS, *VALUES.values()):
         assert _outcome(f, v) == _outcome(f, fresh)
     for fn in FUNCTIONALS:
         assert _outcome(fn.shifted, v) == _outcome(fn.shifted, fresh)

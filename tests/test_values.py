@@ -23,7 +23,6 @@ from coopvals import (
     SamplerConfig,
     TooFewPlayers,
     VALUES,
-    ValueResult,
     additive_game,
     build_game,
     chi,
@@ -39,12 +38,14 @@ from coopvals import (
     km,
     lbc_value,
     marginal_contributions,
+    minimal_rights,
     pansc,
     sample_games,
     subtract_allocation,
     tau,
     ubc_value,
 )
+from coopvals.game import in_class
 from coopvals.values import EANSC_ROUTES
 from coopvals.verify import CLASS_FILTERS
 
@@ -70,17 +71,6 @@ def test_compromise_rejects_bad_brackets(g6):
         compromise(g6, (3, 3, 3), (3, 3, 4))
     with pytest.raises(CoopvalsError):
         compromise(g6, (1, 1), (5, 5, 5))
-
-
-def test_value_result_checks_mixing_identity():
-    with pytest.raises(CoopvalsError):
-        ValueResult(
-            value_id="x",
-            allocation=(F(1), F(1)),
-            lam=F(1, 2),
-            lower_used=(F(0), F(0)),
-            upper_used=(F(1), F(1)),
-        )
 
 
 def test_lbc_value_requires_regular_bound(g6):
@@ -118,6 +108,16 @@ def test_tau_on_worked_games(g2, g6):
     with pytest.raises(NotInClass) as err:
         tau(g6)
     assert "semi-balanced" in str(err.value)
+    # The bound-sum bracket sum(m) <= v(N) <= sum(M) does not make a game
+    # semi-balanced: here m = (0, 0, 1) and M = (3, 3, 0), so m_3 > M_3.
+    bracketed = build_game(3, {0b100: 1, 0b011: 3, 0b111: 3})
+    m, M = minimal_rights(bracketed), marginal_contributions(bracketed)
+    assert (m, M) == ((0, 0, 1), (3, 3, 0))
+    assert sum(m) <= bracketed.total <= sum(M)
+    assert not in_class(bracketed, "semi-balanced")
+    with pytest.raises(NotInClass) as err:
+        tau(bracketed)
+    assert str(err.value) == str(NotInClass("semi-balanced"))
 
 
 def test_chi_and_km_on_worked_game(g6):
@@ -151,7 +151,7 @@ def test_gately_worked_and_guards(g4, zero3):
     # nu_3 = 3 > M_3 = 1: the formula still lands inside the simplex
     assert gately(crossing).allocation == (2, 2, 1)
     with pytest.raises(BoundOrderViolated):
-        gately(crossing, strict=True)
+        compromise(crossing, individual_worths(crossing), marginal_contributions(crossing))
     degenerate = build_game(
         3, {0b001: 0, 0b010: 0, 0b100: 3, 0b011: 4, 0b101: 1, 0b110: 1, 0b111: 3}
     )
@@ -252,6 +252,21 @@ def test_gately_matches_engine_when_ordered(v):
 
 
 @settings(max_examples=80, deadline=None)
+@given(games(n_min=1, n_max=4))
+def test_bracketed_gately_is_the_compromise_of_nu_and_M(v):
+    # Gately on essential games with nu <= M is compromise(v, nu, M); the
+    # engine refuses essential games with some nu_i > M_i.
+    assume(in_class(v, "essential"))
+    nu = individual_worths(v)
+    M = marginal_contributions(v)
+    if all(a <= b for a, b in zip(nu, M)):
+        assert compromise(v, nu, M, value_id="gately") == gately(v)
+    else:
+        with pytest.raises(BoundOrderViolated):
+            compromise(v, nu, M, value_id="gately")
+
+
+@settings(max_examples=80, deadline=None)
 @given(games(n_min=1, n_max=4, lo=0))
 def test_pansc_matches_engine_inside_bracket(v):
     M = marginal_contributions(v)
@@ -298,3 +313,24 @@ def test_every_value_reports_its_declared_pair(class_filter, n, seed):
                 pair = next(p for p, covers in EANSC_ROUTES.values() if covers(v))
             declared = tuple(functional(fn).evaluate(v) for fn in pair)
             assert (r.lower_used, r.upper_used) == declared, vid
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CLASS_FILTERS), st.integers(1, 4), st.integers(0, 2**32))
+def test_every_result_is_its_mixture(class_filter, n, seed):
+    # ValueResult stores what the value gives it; the mixture identity and
+    # efficiency of every defined result are checked here.
+    config = SamplerConfig(n_min=n, n_max=n, class_filter=class_filter, count=5, seed=seed)
+    for v in sample_games(config):
+        for vid, f in VALUES.items():
+            try:
+                r = f(v)
+            except DomainError:
+                continue
+            lower, upper, lam = r.lower_used, r.upper_used, r.lam
+            if lam is None:
+                assert r.allocation == lower == upper, vid
+            else:
+                mix = tuple(m + lam * (u - m) for m, u in zip(lower, upper))
+                assert r.allocation == mix, vid
+            assert sum(r.allocation) == v.total, vid
