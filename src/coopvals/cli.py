@@ -224,6 +224,17 @@ def _print_suite(report: verify.SuiteReport, fmt: str) -> int:
     return 0 if report.ok else 1
 
 
+def _sampler_config(args) -> verify.SamplerConfig:
+    """The sampler flags of `check --sample` and `sample` as a config."""
+    return verify.SamplerConfig(
+        n_min=args.n,
+        n_max=args.n,
+        class_filter=args.filter,
+        count=args.count,
+        seed=args.seed,
+    )
+
+
 def cmd_check(args) -> int:
     if args.game is not None:
         v = _load_game(args.game)
@@ -231,26 +242,12 @@ def cmd_check(args) -> int:
             [v], seed=args.seed, negative_fixtures=False
         )
     else:
-        config = verify.SamplerConfig(
-            n_min=args.n,
-            n_max=args.n,
-            class_filter=args.filter,
-            count=args.count,
-            seed=args.seed,
-        )
-        report = verify.run_suite(config)
+        report = verify.run_suite(_sampler_config(args))
     return _print_suite(report, args.format)
 
 
 def cmd_sample(args) -> int:
-    config = verify.SamplerConfig(
-        n_min=args.n,
-        n_max=args.n,
-        class_filter=args.filter,
-        count=args.count,
-        seed=args.seed,
-    )
-    games = verify.sample_games(config)
+    games = verify.sample_games(_sampler_config(args))
     if args.format == "json":
         print(json.dumps([game_doc(v) for v in games], indent=2))
     else:

@@ -15,7 +15,8 @@ where (mu, eta) is the value's own bound pair.  Proportionality is tested
 as cross-multiplied collinearity, f_i * sum(eta) = sum(f) * eta_i, which
 needs no division and no sign assumption on the scalar.  Checks whose
 precondition fails raise PreconditionNotMet and are reported as skipped,
-never as silently passed.
+never as silently passed; so do checks whose shifted, transformed or dual
+game leaves the value's class.
 """
 
 from __future__ import annotations
@@ -100,6 +101,19 @@ def _outcome(check_id: str, witness: Witness | None) -> CheckOutcome:
     return CheckOutcome(check_id=check_id, passed=witness is None, witness=witness)
 
 
+def _derived(
+    f: Callable[[TUGame], values.ValueResult], value_id: str, what: str, game: TUGame
+) -> Tuple[Fraction, ...]:
+    """f's allocation on a game derived from v; a derived game outside the
+    value's class fails the axiom's precondition rather than the axiom."""
+    try:
+        return f(game).allocation
+    except NotInClass as exc:
+        raise PreconditionNotMet(
+            f"{what} game leaves the class of {value_id}: {exc}"
+        ) from None
+
+
 def check_axiom(
     axiom_id: str,
     value_id: str,
@@ -115,72 +129,39 @@ def check_axiom(
     as a skip.  The probe (scale, shift) is used by Covariance only.
     """
     f = _value(value_id)
-    check_id = f"axiom:{axiom_id}:{value_id}"
-
-    if axiom_id == "Efficiency":
-        total = sum(f(v).allocation)
-        witness = None if total == v.total else Witness(0, (total,), (v.total,))
-        return _outcome(check_id, witness)
-
-    if axiom_id == "MinimalRights":
-        mu_fn, _ = _pair(value_id)
-        mu = mu_fn(v)
-        result = f(v)
-        try:
-            inner = f(mu_fn.shifted(v))
-        except NotInClass as exc:
-            raise PreconditionNotMet(
-                f"shifted game leaves the class of {value_id}: {exc}"
-            ) from None
-        rhs = tuple(a + b for a, b in zip(inner.allocation, mu))
-        return _outcome(check_id, first_difference(result.allocation, rhs))
-
-    if axiom_id == "RestrictedProportionality":
-        mu_fn, eta_fn = _pair(value_id)
-        if any(c != 0 for c in mu_fn(v)):
-            raise PreconditionNotMet(f"mu(v) != 0 for {value_id}")
-        eta = eta_fn(v)
-        alloc = f(v).allocation
-        s_alloc, s_eta = sum(alloc), sum(eta)
-        lhs = tuple(a * s_eta for a in alloc)
-        rhs = tuple(s_alloc * e for e in eta)
-        return _outcome(check_id, first_difference(lhs, rhs))
-
-    if axiom_id == "EgalitarianDivision":
-        mu_fn, _ = _pair(value_id)
-        if any(c != 0 for c in mu_fn(v)):
-            raise PreconditionNotMet(f"mu(v) != 0 for {value_id}")
-        alloc = f(v).allocation
-        rhs = (alloc[0],) * v.n
-        return _outcome(check_id, first_difference(alloc, rhs))
-
+    if axiom_id not in AXIOMS:
+        raise CoopvalsError(f"unknown axiom id {axiom_id!r}")
+    mu_fn, eta_fn = _pair(value_id)
+    needs_zero_mu = axiom_id in ("RestrictedProportionality", "EgalitarianDivision")
+    if needs_zero_mu and any(mu_fn(v)):
+        raise PreconditionNotMet(f"mu(v) != 0 for {value_id}")
     if axiom_id == "Covariance":
         scale, shift = probe if probe is not None else _default_probe(v.n)
-        scale = as_fraction(scale)
-        shift = tuple(map(as_fraction, shift))
-        base = f(v)
-        try:
-            moved = f(transform(v, scale, shift))
-        except NotInClass as exc:
-            raise PreconditionNotMet(
-                f"transformed game leaves the class of {value_id}: {exc}"
-            ) from None
-        rhs = tuple(scale * a + x for a, x in zip(base.allocation, shift))
-        return _outcome(check_id, first_difference(moved.allocation, rhs))
+        scale, shift = as_fraction(scale), tuple(map(as_fraction, shift))
+    result = f(v)
+    alloc = result.allocation
 
-    if axiom_id == "SelfDuality":
-        base = f(v)
-        try:
-            on_dual = f(dual(v))
-        except NotInClass as exc:
-            raise PreconditionNotMet(
-                f"dual game leaves the class of {value_id}: {exc}"
-            ) from None
-        return _outcome(check_id, first_difference(on_dual.allocation, base.allocation))
-
-    if axiom_id == "IndividualRationality":
+    if axiom_id == "Efficiency":
+        total = sum(alloc)
+        witness = None if total == v.total else Witness(0, (total,), (v.total,))
+    elif axiom_id == "MinimalRights":
+        inner = _derived(f, value_id, "shifted", mu_fn.shifted(v))
+        witness = first_difference(alloc, tuple(map(add, inner, mu_fn(v))))
+    elif axiom_id == "RestrictedProportionality":
+        eta = eta_fn(v)
+        s_alloc, s_eta = sum(alloc), sum(eta)
+        lhs = tuple(a * s_eta for a in alloc)
+        witness = first_difference(lhs, tuple(s_alloc * e for e in eta))
+    elif axiom_id == "EgalitarianDivision":
+        witness = first_difference(alloc, (alloc[0],) * v.n)
+    elif axiom_id == "Covariance":
+        moved = _derived(f, value_id, "transformed", transform(v, scale, shift))
+        rhs = tuple(scale * a + x for a, x in zip(alloc, shift))
+        witness = first_difference(moved, rhs)
+    elif axiom_id == "SelfDuality":
+        witness = first_difference(_derived(f, value_id, "dual", dual(v)), alloc)
+    else:  # IndividualRationality
         nu = individual_worths(v)
-        result = f(v)
         bracketed = all(
             lo <= hi for lo, hi in zip(result.lower_used, result.upper_used)
         )
@@ -190,14 +171,10 @@ def check_axiom(
                 f"the lower bound of {value_id} does not dominate the "
                 "individual worths on this game"
             )
-        witness = None
-        for i in range(v.n):
-            if result.allocation[i] < nu[i]:
-                witness = Witness(i, result.allocation, nu)
-                break
-        return _outcome(check_id, witness)
-
-    raise CoopvalsError(f"unknown axiom id {axiom_id!r}")
+        witness = next(
+            (Witness(i, alloc, nu) for i in range(v.n) if alloc[i] < nu[i]), None
+        )
+    return _outcome(f"axiom:{axiom_id}:{value_id}", witness)
 
 
 def check_convex_coincidence(v: TUGame) -> CheckOutcome:
@@ -450,9 +427,15 @@ _POSITIVE_PAIRS = (
     (values.AXIOM_PAIRS["gately"], _pred_ordered),
 )
 
-_COVARIANCE_VALUES = ("tau", "chi")
-_SELF_DUAL_VALUES = ("km",)
-_RATIONAL_VALUES = ("cis", "tau", "chi", "gately")
+# The per-value axiom rows beyond Efficiency, MinimalRights and the
+# proportionality axiom, which every value gets, in report order.  Each row
+# runs on the games where its value is defined.
+_VALUE_AXIOM_ROWS = (
+    ("Covariance", "tau"), ("Covariance", "chi"),
+    ("SelfDuality", "km"),
+    ("IndividualRationality", "cis"), ("IndividualRationality", "tau"),
+    ("IndividualRationality", "chi"), ("IndividualRationality", "gately"),
+)
 _COVARIANCE_SCALES = (Fraction(1, 2), Fraction(1), Fraction(3))
 
 
@@ -483,21 +466,23 @@ def _is_defined(f: Callable[[TUGame], values.ValueResult], v: TUGame) -> bool:
     return True
 
 
+def _spread(v: TUGame, x: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
+    """x_i + (v(N) - sum_j x_j) / n: x plus an equal share of the rest."""
+    residual = (v.total - sum(x)) / v.n
+    return tuple(c + residual for c in x)
+
+
 def _eansc_dual_identity(v: TUGame) -> Witness | None:
     """EANSC of v equals CIS of the dual game."""
     star = dual(v)
-    nu_star = individual_worths(star)
-    residual = (star.total - sum(nu_star)) / star.n
-    cis_of_dual = tuple(c + residual for c in nu_star)
+    cis_of_dual = _spread(star, individual_worths(star))
     return first_difference(values.eansc(v).allocation, cis_of_dual)
 
 
 def _eansc_route_agreement(v: TUGame) -> Witness | None:
     """EANSC and its rebuild through each bound-pair route that covers v
     equal the closed form M_i + (v(N) - sum_j M_j) / n."""
-    M = bounds.marginal_contributions(v)
-    residual = (v.total - sum(M)) / v.n
-    closed = tuple(c + residual for c in M)
+    closed = _spread(v, bounds.marginal_contributions(v))
     allocations = [values.eansc(v).allocation]
     allocations += [
         values.compromise(v, functional(mu)(v), functional(eta)(v)).allocation
@@ -614,28 +599,20 @@ def run_suite_on_games(
             (PreconditionNotMet, NotInClass, TooFewPlayers),
         ))
 
-    # Every probe is drawn, skipped games included, so the generator's
-    # stream does not depend on which games are in class.
-    for vid in _COVARIANCE_VALUES:
-        scales = _COVARIANCE_SCALES
-        probed = [
-            (v, (scales[k % len(scales)], _random_shift(rng, v.n)))
+    # A Covariance row draws every game's probe, skipped games included, so
+    # the generator's stream does not depend on which games are in class.
+    scales = _COVARIANCE_SCALES
+    for axiom_id, vid in _VALUE_AXIOM_ROWS:
+        probes = [
+            (scales[k % len(scales)], _random_shift(rng, v.n))
+            if axiom_id == "Covariance" else None
             for k, v in enumerate(games)
         ]
         checks.append(_tally(
-            f"axiom:Covariance:{vid}", probed,
-            lambda case: check_axiom("Covariance", vid, case[0], probe=case[1]).witness,
+            f"axiom:{axiom_id}:{vid}", zip(games, probes),
+            lambda case: check_axiom(axiom_id, vid, case[0], probe=case[1]).witness,
             (PreconditionNotMet,), scope=defined[vid],
         ))
-    for axiom_id, vids in (
-        ("SelfDuality", _SELF_DUAL_VALUES),
-        ("IndividualRationality", _RATIONAL_VALUES),
-    ):
-        for vid in vids:
-            checks.append(_tally(
-                f"axiom:{axiom_id}:{vid}", games, _axiom(axiom_id, vid),
-                (PreconditionNotMet,), scope=defined[vid],
-            ))
 
     # EANSC structure, the semi-balanced order, and convex coincidence.
     checks.append(_tally("eansc_dual_identity", games, _eansc_dual_identity))

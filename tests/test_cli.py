@@ -295,6 +295,18 @@ REJECTION_FILTERS = (
             for pair in ("chi", "cis", "eansc", "gately", "km", "tau")
             if (game, pair) != ("dense8", "tau")
         ),
+        # One-player games skip the two EtaTrivial negative rows.
+        (
+            ["check", "--sample", "--n", "1", "--count", "20", "--seed", "0",
+             "--format", "json"],
+            "check_sample_n1_seed0.json",
+        ),
+        # Covariance probes at n = 5, and convex coincidence on every game.
+        (
+            ["check", "--sample", "--n", "5", "--filter", "convex", "--count", "10",
+             "--seed", "0", "--format", "json"],
+            "check_sample_convex_n5_seed0.json",
+        ),
     ],
 )
 def test_output_matches_golden(argv, golden, capsys):

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 import oracles
 from coopvals import values
 from coopvals import (
+    AXIOMS,
+    CheckOutcome,
     CheckStats,
     CoopvalsError,
+    DomainError,
     NotInClass,
     PreconditionNotMet,
     SamplerConfig,
@@ -27,6 +30,7 @@ from coopvals import (
     sample_games,
     subtract_allocation,
 )
+from coopvals.verify import CLASS_FILTERS
 
 
 def test_axiom_efficiency_and_minimal_rights(g2, g6):
@@ -73,6 +77,52 @@ def test_axiom_unknown_ids(g6):
         check_axiom("Symmetry", "tau", g6)
     with pytest.raises(CoopvalsError):
         check_axiom("Efficiency", "shapley", g6)
+
+
+def test_axiom_refusal_order():
+    # v1 = v2 = 1 > v(N) = 0: outside every class guard of tau, chi and cis.
+    crowded = build_game(2, {0b01: 1, 0b10: 1, 0b11: 0})
+    with pytest.raises(CoopvalsError, match="unknown value id 'shapley'"):
+        check_axiom("Symmetry", "shapley", crowded)
+    # mu(v) != 0 is reported before the value is found undefined on v.
+    for axiom_id, vid in (
+        ("RestrictedProportionality", "tau"),
+        ("RestrictedProportionality", "chi"),
+        ("EgalitarianDivision", "cis"),
+    ):
+        with pytest.raises(DomainError) as caught:
+            check_axiom(axiom_id, vid, crowded)
+        assert caught.type is PreconditionNotMet
+        assert str(caught.value) == f"mu(v) != 0 for {vid}"
+    # A float probe is refused before cis is evaluated (and found undefined).
+    with pytest.raises(CoopvalsError, match="float") as caught:
+        check_axiom("Covariance", "cis", crowded, probe=(0.5, (0, 0)))
+    assert caught.type is CoopvalsError
+    # u_N with two players is weakly essential; its dual, with v*(i) = 1, is not.
+    unanimity = build_game(2, {0b11: 1})
+    with pytest.raises(PreconditionNotMet) as caught:
+        check_axiom("SelfDuality", "chi", unanimity)
+    assert str(caught.value) == (
+        "dual game leaves the class of chi: not applicable: weakly-essential"
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CLASS_FILTERS), st.integers(1, 4), st.integers(0, 2**32))
+def test_check_axiom_reports_or_refuses(class_filter, n, seed):
+    # Every axiom and value pair gives an outcome or a DomainError; nothing
+    # else escapes.
+    config = SamplerConfig(n_min=n, n_max=n, class_filter=class_filter, count=3, seed=seed)
+    for v in sample_games(config):
+        for axiom_id in AXIOMS:
+            for vid in values.VALUES:
+                try:
+                    outcome = check_axiom(axiom_id, vid, v)
+                except DomainError:
+                    continue
+                assert isinstance(outcome, CheckOutcome)
+                assert outcome.check_id == f"axiom:{axiom_id}:{vid}"
+                assert outcome.passed == (outcome.witness is None)
 
 
 def test_convex_coincidence(g6, add123, u12):
