@@ -11,10 +11,11 @@ all coalitions run on W (exact: they take sums, maxima, minima and
 comparisons, which commute with scaling) and divide by L at the end.  The
 games derived from a game (transform, subtract_allocation, dual,
 zero_normalise) are linear maps of W and are built as (L', W') with
-TUGame.from_scaled, with no Fraction per coalition.  When L would exceed
-SCALE_CAP the state is (1, the worths as Fractions) instead, and the same
-code runs on the Fractions.  TUGame.worths, the Fraction table, is a view
-built on first use.  There is no floating point here.
+TUGame.from_scaled, with no Fraction per coalition.  _scale is the one
+step that finds a common denominator; when L would exceed SCALE_CAP it
+gives (1, the worths as Fractions) instead, and the same code runs on the
+Fractions.  TUGame.worths, the Fraction table, is a view built on first
+use.  There is no floating point here.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "as_fraction",
     "coalition",
     "members",
-    "coalition_size",
     "coalition_total",
     "additive_table",
     "zeta",
@@ -140,10 +140,6 @@ def members(S: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def coalition_size(S: int) -> int:
-    return S.bit_count()
-
-
 def coalition_total(x: Sequence[Fraction], S: int) -> Fraction:
     """x(S) = sum of x_i over members i of S."""
     return sum((x[i] for i in members(S)), Fraction(0))
@@ -210,16 +206,18 @@ def _check_table(n: int, L: int, W: tuple) -> None:
         raise NonzeroEmptyCoalition(f"v(empty) must be 0, got {Fraction(W[0], L)}")
 
 
-def _common_denominator(denominators: Iterable[int]) -> int | None:
-    """The least common multiple of the denominators, or None once it passes
-    SCALE_CAP (so a hostile table never grows it further)."""
+def _scale(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, list]:
+    """(L, [p * (L // q) for each pair]) for int pairs (p, q) with q > 0 and L
+    the least common multiple of the q; or (1, [Fraction(p, q) for each
+    pair]) once L would pass SCALE_CAP, so a hostile table never grows it
+    further.  The only code that finds a common denominator."""
     L = 1
-    for q in denominators:
+    for q in {q for _, q in pairs}:
         if L % q:
             L = lcm(L, q)
             if L > SCALE_CAP:
-                return None
-    return L
+                return 1, [Fraction(p, q) for p, q in pairs]
+    return L, [p * (L // q) for p, q in pairs]
 
 
 @dataclass(frozen=True, init=False)
@@ -259,12 +257,8 @@ class TUGame:
         _check_players(n)
         table = tuple(map(as_fraction, worths))
         _check_table(n, 1, table)
-        L = _common_denominator({w.denominator for w in table})
-        if L is None:
-            state = (1, table)
-        else:
-            state = (L, tuple(w.numerator * (L // w.denominator) for w in table))
-        self._set(n, state, labels)
+        L, W = _scale([(w.numerator, w.denominator) for w in table])
+        self._set(n, (L, tuple(W)), labels)
         self.__dict__["worths"] = table
 
     @classmethod
@@ -367,28 +361,23 @@ def _from_pairs(n: int, pairs: Sequence[Tuple[int, int]], labels=None) -> TUGame
     """The game with v(S) = p / q for the int pair (p, q), q > 0, at index S
     of pairs, built over the common denominator of the q (with Fractions
     past SCALE_CAP)."""
-    L = _common_denominator({q for _, q in pairs})
-    if L is None:
-        return TUGame(n, [Fraction(p, q) for p, q in pairs], labels)
-    return TUGame.from_scaled(n, L, [p * (L // q) for p, q in pairs], labels)
+    return TUGame.from_scaled(n, *_scale(pairs), labels)
 
 
 def scaled_with(v: TUGame, x: Sequence[RationalLike]) -> Tuple[int, Sequence, list]:
-    """(L, L*v, L*x) as in TUGame.scaled, for a common denominator L of the
-    game and the vector x; (1, v.worths, x) when v keeps Fractions or L
-    would exceed SCALE_CAP."""
+    """(L, L*v, L*x) as in TUGame.scaled, for L the common denominator of the
+    game and the n-vector x; (1, v, x) as Fractions when L would exceed
+    SCALE_CAP."""
     L, W = v.scaled
     x = list(map(as_fraction, x))
-    # The table holds ints, or Fractions past SCALE_CAP; W[0] is 0 either way.
-    if type(W[0]) is int:
-        common = _common_denominator({L, *(c.denominator for c in x)})
-    else:
-        common = None
-    if common is None:
-        return 1, v.worths, x
-    if common != L:
-        W = [w * (common // L) for w in W]
-    return common, W, [c.numerator * (common // c.denominator) for c in x]
+    if len(x) != v.n:
+        raise CoopvalsError(f"vector must have {v.n} components, got {len(x)}")
+    # A game held as Fractions has L = 1, so its table only meets the factor.
+    pairs = [(1, L)] + [(c.numerator, c.denominator) for c in x]
+    common, (factor, *X) = _scale(pairs)
+    if factor != 1:
+        W = [w * factor for w in W]
+    return common, W, X
 
 
 @dataclass(frozen=True)
@@ -490,7 +479,8 @@ def transform(v: TUGame, scale: RationalLike, shift: Sequence[RationalLike]) -> 
         raise NonPositiveScale(f"scale must be positive, got {scale}")
     # With scale = p / q: (p * L*v + q * L*shift) / (q * L).
     p, q = scale.numerator, scale.denominator
-    L, W, shifts = _scaled_shift(v, shift)
+    L, W, X = scaled_with(v, shift)
+    shifts = additive_table(X)
     if p != 1:
         W = list(map(mul, W, repeat(p)))
     if q != 1:
@@ -500,16 +490,8 @@ def transform(v: TUGame, scale: RationalLike, shift: Sequence[RationalLike]) -> 
 
 def subtract_allocation(v: TUGame, x: Sequence[RationalLike]) -> TUGame:
     """The shifted game (v - x)(S) = v(S) - x(S)."""
-    L, W, shifts = _scaled_shift(v, x)
-    return TUGame.from_scaled(v.n, L, list(map(sub, W, shifts)), v.labels)
-
-
-def _scaled_shift(v: TUGame, x: Sequence[RationalLike]) -> Tuple[int, Sequence, list]:
-    """(L, L*v, L*x(S) for every S) as in scaled_with."""
-    L, W, X = scaled_with(v, x)
-    if len(X) != v.n:
-        raise CoopvalsError(f"shift must have {v.n} components, got {len(X)}")
-    return L, W, additive_table(X)
+    L, _, excess = excess_table(v, x)
+    return TUGame.from_scaled(v.n, L, excess, v.labels)
 
 
 def base_game(n: int, S: int) -> TUGame:

@@ -41,8 +41,8 @@ from .errors import (
 from .game import (
     CLASSES,
     TUGame,
-    _common_denominator,
     _from_pairs,
+    _scale,
     additive_table,
     as_fraction,
     dual,
@@ -256,23 +256,17 @@ def _draw_convex(rng: random.Random, config: SamplerConfig, n: int) -> TUGame:
     # construction since unanimity games are convex and the cone is closed
     # under nonnegative sums and additive translations.  The combination is
     # the zeta transform of the coefficients; it and the shift's additive
-    # table are summed as ints over one common denominator L of every draw.
+    # table are summed over one common denominator of every draw, by _scale.
     hi = max(config.numerator_max, 1)
     coeffs = [_draw_pair(rng, 0, hi, config) for _ in range((1 << n) - 1)]
     shift = [
         _draw_pair(rng, config.numerator_min, config.numerator_max, config)
         for _ in range(n)
     ]
-    L = _common_denominator({q for _, q in coeffs + shift})
-    if L is None:
-        # As in TUGame.scaled, sums past SCALE_CAP run on the Fractions.
-        table = [0] + [Fraction(p, q) for p, q in coeffs]
-        zeta(table)
-        shifts = additive_table([Fraction(p, q) for p, q in shift])
-        return TUGame(n, tuple(map(add, table, shifts)))
-    table = [0] + [p * (L // q) for p, q in coeffs]
+    L, scaled = _scale(coeffs + shift)
+    table = [0] + scaled[:len(coeffs)]
     zeta(table)
-    shifts = additive_table([p * (L // q) for p, q in shift])
+    shifts = additive_table(scaled[len(coeffs):])
     return TUGame.from_scaled(n, L, list(map(add, table, shifts)))
 
 
@@ -527,6 +521,11 @@ def run_suite_on_games(
     negative fixtures are sample-level diagnostics (they must fail at least
     once across the whole batch); negative_fixtures=False omits them, which
     is what single-game checks want.
+
+    A game outside a value's class counts in two ways.  The Efficiency,
+    Covariance, SelfDuality and IndividualRationality rows count it as
+    skipped; the MinimalRights and proportionality rows leave it out, so
+    their counts add up to the in-class games only.
     """
     rng = random.Random(seed ^ 0x5EED)
     if convex_games is None:

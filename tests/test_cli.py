@@ -256,6 +256,7 @@ def test_check_sample_matches_golden(seed, capsys):
 DENSE8 = str(GOLDEN / "dense8_game.json")
 # v(S) = 1 iff |S| >= 3: monotonic and superadditive, not convex.
 MAJORITY5 = str(GOLDEN / "majority5_game.json")
+FERMAT3 = str(GOLDEN / "fermat3_game.json")
 REJECTION_FILTERS = (
     "zero-normalised", "essential", "weakly-essential", "semi-balanced", "M-lower",
     "M-upper",
@@ -307,6 +308,10 @@ REJECTION_FILTERS = (
              "--seed", "0", "--format", "json"],
             "check_sample_convex_n5_seed0.json",
         ),
+        # Denominators 2^512+1, 2^256+1 and 2^128+1: the common denominator
+        # passes SCALE_CAP, so every sweep runs on the Fractions.
+        (["report", "--game", FERMAT3, "--format", "json"], "fermat3_report.json"),
+        (["check", "--game", FERMAT3, "--format", "json"], "fermat3_check.json"),
     ],
 )
 def test_output_matches_golden(argv, golden, capsys):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from coopvals import (
+    CoopvalsError,
     NotBalanced,
     NotInClass,
     TUGame,
@@ -40,7 +41,9 @@ from coopvals.game import (
     CLASSES,
     SCALE_CAP,
     additive_table,
+    build_game,
     coalition_total,
+    excess_table,
     halves,
     in_class,
     zeta,
@@ -338,3 +341,29 @@ def test_derived_games_build_no_fraction_per_coalition():
     with counted_fractions() as built:
         derived.worths
     assert len(built) == 1 << n
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        build_game(3, {1: 1, 2: 1, 4: 1, 7: 3}),
+        # Held as Fractions: the common denominator passes SCALE_CAP.
+        build_game(3, {3: Fraction(1, FERMAT[9]), 5: Fraction(1, FERMAT[8]), 7: 1}),
+    ],
+    ids=["ints", "fractions"],
+)
+@pytest.mark.parametrize("length", [2, 4])
+@pytest.mark.parametrize(
+    "use",
+    [
+        excess_table,
+        is_strongly_upper_bounded,
+        mu_from_upper_vector,
+        subtract_allocation,
+        lambda v, x: transform(v, 2, x),
+    ],
+    ids=["excess_table", "strong_upper", "mu_from_upper", "subtract", "transform"],
+)
+def test_a_vector_of_the_wrong_length_is_refused(v, length, use):
+    with pytest.raises(CoopvalsError, match=f"must have 3 components, got {length}"):
+        use(v, (1,) * length)
