@@ -26,6 +26,11 @@ A pair (mu, eta) is a bound pair on a game v when (i) mu(v) <= eta(v)
 componentwise, (ii-a) mu(v - mu(v)) = 0, and (ii-b) eta(v - mu(v)) =
 eta(v) - mu(v), where v - x subtracts the additive game of x.
 
+A check reports a failure as data, a Witness: the first component where
+the condition fails, found by first_difference(lhs, rhs, holds).  Check
+results store only witnesses; passed and the property_*_holds flags are
+read off them.
+
 The extreme marginals, mu^eta and the class tests sweep the integer-scaled
 table with the subset kernel of coopvals.game, in O(n * 2^n).
 """
@@ -35,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import le, sub
+from operator import add, eq, le, sub
 from typing import Callable, Sequence, Tuple, Union
 
 from .errors import (
@@ -291,58 +296,72 @@ MU_FROM_MILNOR = derived_lower_from_upper("MilnorUpper")
 
 @dataclass(frozen=True)
 class Witness:
-    """A concrete violation: the first differing component and both sides."""
+    """A concrete violation: the first failing component and both sides."""
 
     component: int
     lhs: Tuple[Fraction, ...]
     rhs: Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    """Named property check result.  A witness is present iff not passed."""
-
-    check_id: str
-    passed: bool
-    witness: Witness | None = None
-
-    def __post_init__(self) -> None:
-        if self.passed and self.witness is not None:
-            raise CoopvalsError("a passing check cannot carry a witness")
-        if not self.passed and self.witness is None:
-            raise CoopvalsError("a failing check must carry a witness")
-
-
 def first_difference(
-    lhs: Sequence[Fraction], rhs: Sequence[Fraction]
+    lhs: Sequence[Fraction],
+    rhs: Sequence[Fraction],
+    holds: Callable[[Fraction, Fraction], bool] = eq,
 ) -> Witness | None:
-    """The first component where lhs and rhs differ, or None if they agree."""
+    """The first component i where holds(lhs[i], rhs[i]) fails, with both
+    sides, or None when it holds everywhere.  The default asks lhs == rhs;
+    holds=le asks lhs <= rhs."""
     for i, (a, b) in enumerate(zip(lhs, rhs)):
-        if a != b:
+        if not holds(a, b):
             return Witness(i, tuple(lhs), tuple(rhs))
     return None
 
 
 @dataclass(frozen=True)
+class CheckOutcome:
+    """Named property check result: the witness of its failure, or None.
+
+    The witness is the only state; passed is read off it."""
+
+    check_id: str
+    witness: Witness | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
+
+
+@dataclass(frozen=True)
 class BoundPairReport:
-    """Outcome of the three defining bound-pair conditions on one game."""
+    """The three defining bound-pair conditions on one game, each stored
+    as the witness of its failure or None; every flag is read off them."""
 
     mu_id: str
     eta_id: str
-    property_i_holds: bool
-    property_iia_holds: bool
-    property_iib_holds: bool
     witness_i: Witness | None = None
     witness_iia: Witness | None = None
     witness_iib: Witness | None = None
 
     @property
+    def witness(self) -> Witness | None:
+        """The first failure among (i), (ii-a) and (ii-b), or None."""
+        return self.witness_i or self.witness_iia or self.witness_iib
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.property_i_holds
-            and self.property_iia_holds
-            and self.property_iib_holds
-        )
+        return self.witness is None
+
+    @property
+    def property_i_holds(self) -> bool:
+        return self.witness_i is None
+
+    @property
+    def property_iia_holds(self) -> bool:
+        return self.witness_iia is None
+
+    @property
+    def property_iib_holds(self) -> bool:
+        return self.witness_iib is None
 
 
 def check_bound_pair(
@@ -357,27 +376,12 @@ def check_bound_pair(
     mu_fn, eta_fn = functional(mu_id), functional(eta_id)
     mu, eta = mu_fn(v), eta_fn(v)
     shifted = mu_fn.shifted(v)
-    mu_shift = mu_fn(shifted)
-    eta_shift = eta_fn(shifted)
-    zero = (Fraction(0),) * v.n
-    diff = tuple(e - m for e, m in zip(eta, mu))
-
-    witness_i = None
-    for i in range(v.n):
-        if mu[i] > eta[i]:
-            witness_i = Witness(i, mu, eta)
-            break
-    witness_iia = first_difference(mu_shift, zero)
-    witness_iib = first_difference(eta_shift, diff)
     return BoundPairReport(
-        mu_id=mu_fn.id,
-        eta_id=eta_fn.id,
-        property_i_holds=witness_i is None,
-        property_iia_holds=witness_iia is None,
-        property_iib_holds=witness_iib is None,
-        witness_i=witness_i,
-        witness_iia=witness_iia,
-        witness_iib=witness_iib,
+        mu_fn.id,
+        eta_fn.id,
+        witness_i=first_difference(mu, eta, le),
+        witness_iia=first_difference(mu_fn(shifted), (Fraction(0),) * v.n),
+        witness_iib=first_difference(eta_fn(shifted), tuple(map(sub, eta, mu))),
     )
 
 
@@ -388,13 +392,9 @@ def is_regular_lower(
     fn = functional(mu_id)
     if sum(fn(v)) > v.total:
         raise NotInClass(f"B_l({fn.id})")
-    shifted_mu = fn(fn.shifted(v))
     zero = (Fraction(0),) * v.n
-    witness = first_difference(shifted_mu, zero)
     return CheckOutcome(
-        check_id=f"regular_lower:{fn.id}",
-        passed=witness is None,
-        witness=witness,
+        f"regular_lower:{fn.id}", first_difference(fn(fn.shifted(v)), zero)
     )
 
 
@@ -407,12 +407,9 @@ def check_translation_covariance(
     fn = functional(fn_id)
     x = tuple(map(as_fraction, x))
     lhs = fn(transform(v, 1, x))
-    rhs = tuple(a + b for a, b in zip(fn(v), x))
-    witness = first_difference(lhs, rhs)
     return CheckOutcome(
-        check_id=f"translation_covariance:{fn.id}",
-        passed=witness is None,
-        witness=witness,
+        f"translation_covariance:{fn.id}",
+        first_difference(lhs, tuple(map(add, fn(v), x))),
     )
 
 

@@ -172,6 +172,8 @@ def cmd_bounds(args) -> int:
     mu_fn, eta_fn = bounds.functional(mu_id), bounds.functional(eta_id)
     mu, eta = mu_fn(v), eta_fn(v)
     membership = bounds.membership(v, mu_fn, eta_fn)
+    # The MembershipReport fields, named once for both formats.
+    flags = {k.removeprefix("in_"): x for k, x in asdict(membership).items()}
 
     if args.format == "json":
         doc = {
@@ -183,12 +185,7 @@ def cmd_bounds(args) -> int:
             "sum_mu": str(sum(mu)),
             "sum_eta": str(sum(eta)),
             "total": str(v.total),
-            "balanced": membership.in_balanced,
-            "lower_class": membership.in_lower_class,
-            "strong_upper": membership.in_strong_upper,
-            "proper_upper": membership.in_proper_upper,
-            "b_hat": membership.in_b_hat,
-            "b_tilde": membership.in_b_tilde,
+            **flags,
         }
         print(json.dumps(doc, indent=2))
         return 0
@@ -199,12 +196,8 @@ def cmd_bounds(args) -> int:
     print(f"sum_mu: {sum(mu)}")
     print(f"sum_eta: {sum(eta)}")
     print(f"v(N): {v.total}")
-    print(f"balanced: {_bool(membership.in_balanced)}")
-    print(f"lower_class: {_bool(membership.in_lower_class)}")
-    print(f"strong_upper: {_bool(membership.in_strong_upper)}")
-    print(f"proper_upper: {_bool(membership.in_proper_upper)}")
-    print(f"b_hat: {_bool(membership.in_b_hat)}")
-    print(f"b_tilde: {_bool(membership.in_b_tilde)}")
+    for name, flag in flags.items():
+        print(f"{name}: {_bool(flag)}")
     return 0
 
 

@@ -1,9 +1,10 @@
 """Exception hierarchy for the coopvals package.
 
 Two error families matter to callers.  ParseError covers malformed game
-files and is mapped to exit code 2 by the command line tool.  DomainError
-covers violated mathematical preconditions (class guards, bound order,
-degenerate denominators) and is mapped to exit code 1.
+files and rational text that is no number ("abc", "1/0"), and is mapped to
+exit code 2 by the command line tool.  DomainError covers violated
+mathematical preconditions (class guards, bound order, degenerate
+denominators) and is mapped to exit code 1.
 """
 
 __all__ = [

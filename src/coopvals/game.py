@@ -38,6 +38,7 @@ from .errors import (
     InvalidPlayerIndex,
     NonPositiveScale,
     NonzeroEmptyCoalition,
+    ParseError,
     PlayerCountExceeded,
     TooFewPlayers,
 )
@@ -110,12 +111,16 @@ def as_fraction(x: RationalLike) -> Fraction:
 
     Binary floats are refused: Fraction(0.1) is the float's dyadic expansion,
     not 1/10, so a float would silently change the game or vector it is in.
+    Text that is not a rational literal ("abc", "1/0") raises ParseError.
     """
     if type(x) is Fraction:
         return x
     if isinstance(x, float):
         raise CoopvalsError(f"expected a Fraction, int or str, got the float {x!r}")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{str(x)[:40]!r} is not a rational literal") from None
 
 
 def coalition(players: Iterable[int]) -> int:
@@ -130,6 +135,8 @@ def coalition(players: Iterable[int]) -> int:
 
 def members(S: int) -> Tuple[int, ...]:
     """0-based player indices of a coalition, ascending."""
+    if S < 0:
+        raise InvalidPlayerIndex(f"negative coalition {S}")
     out = []
     i = 0
     while S:

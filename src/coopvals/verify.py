@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from operator import add
+from operator import add, ge
 from typing import Any, Callable, Iterable, Sequence, Tuple
 
 from . import bounds, values
@@ -97,10 +97,6 @@ def _pair(value_id: str) -> Tuple[BoundFunctional, BoundFunctional]:
     return functional(mu_id), functional(eta_id)
 
 
-def _outcome(check_id: str, witness: Witness | None) -> CheckOutcome:
-    return CheckOutcome(check_id=check_id, passed=witness is None, witness=witness)
-
-
 def _derived(
     f: Callable[[TUGame], values.ValueResult], value_id: str, what: str, game: TUGame
 ) -> Tuple[Fraction, ...]:
@@ -142,8 +138,7 @@ def check_axiom(
     alloc = result.allocation
 
     if axiom_id == "Efficiency":
-        total = sum(alloc)
-        witness = None if total == v.total else Witness(0, (total,), (v.total,))
+        witness = first_difference((sum(alloc),), (v.total,))
     elif axiom_id == "MinimalRights":
         inner = _derived(f, value_id, "shifted", mu_fn.shifted(v))
         witness = first_difference(alloc, tuple(map(add, inner, mu_fn(v))))
@@ -171,10 +166,8 @@ def check_axiom(
                 f"the lower bound of {value_id} does not dominate the "
                 "individual worths on this game"
             )
-        witness = next(
-            (Witness(i, alloc, nu) for i in range(v.n) if alloc[i] < nu[i]), None
-        )
-    return _outcome(f"axiom:{axiom_id}:{value_id}", witness)
+        witness = first_difference(alloc, nu, ge)
+    return CheckOutcome(f"axiom:{axiom_id}:{value_id}", witness)
 
 
 def check_convex_coincidence(v: TUGame) -> CheckOutcome:
@@ -185,7 +178,7 @@ def check_convex_coincidence(v: TUGame) -> CheckOutcome:
     a_chi = values.chi(v).allocation
     a_km = values.km(v).allocation
     witness = first_difference(a_tau, a_chi) or first_difference(a_tau, a_km)
-    return _outcome("convex_coincidence", witness)
+    return CheckOutcome("convex_coincidence", witness)
 
 
 # Every class but monotonic and superadditive has a sampler filter.
@@ -441,11 +434,7 @@ def _random_shift(rng: random.Random, n: int) -> Tuple[Fraction, ...]:
 
 
 def _pair_check(mu, eta) -> Callable[[TUGame], Witness | None]:
-    def check(v: TUGame) -> Witness | None:
-        report = bounds.check_bound_pair(v, mu, eta)
-        return report.witness_i or report.witness_iia or report.witness_iib
-
-    return check
+    return lambda v: bounds.check_bound_pair(v, mu, eta).witness
 
 
 def _axiom(axiom_id: str, value_id: str) -> Callable[[TUGame], Witness | None]:

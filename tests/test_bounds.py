@@ -1,6 +1,8 @@
 """Bound functionals, derived bounds, pair checks, membership."""
 
+from dataclasses import fields
 from fractions import Fraction
+from operator import ge, le
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,11 @@ from hypothesis import given, settings
 import oracles
 from conftest import g_a, games
 from coopvals import (
-    CoopvalsError,
     NonCovariantUpperBound,
     NotInClass,
     TooFewPlayers,
     UnknownBoundFunctional,
+    BoundPairReport,
     CheckOutcome,
     REGISTRY,
     Witness,
@@ -41,6 +43,7 @@ from coopvals import (
     unanimity_game,
     zero_lower,
 )
+from coopvals.bounds import first_difference
 
 
 def test_named_functionals_on_worked_games(g2, g6):
@@ -170,11 +173,41 @@ def test_constant_lower_factory(g6):
     assert not one.is_regular_lower
 
 
-def test_check_outcome_invariants():
-    with pytest.raises(CoopvalsError):
-        CheckOutcome("x", True, Witness(0, (Fraction(1),), (Fraction(2),)))
-    with pytest.raises(CoopvalsError):
-        CheckOutcome("x", False, None)
+def test_check_results_are_read_off_their_witnesses():
+    assert [f.name for f in fields(CheckOutcome)] == ["check_id", "witness"]
+    assert [f.name for f in fields(BoundPairReport)] == [
+        "mu_id", "eta_id", "witness_i", "witness_iia", "witness_iib",
+    ]
+    w_i, w_iia, w_iib = (Witness(k, (Fraction(k),), (Fraction(9),)) for k in range(3))
+    assert CheckOutcome("x", None).passed
+    assert not CheckOutcome("x", w_i).passed
+
+    clean = BoundPairReport("mu", "eta")
+    assert clean.passed and clean.witness is None
+    assert clean.property_i_holds and clean.property_iia_holds
+    assert clean.property_iib_holds
+    # The report's witness is the first failure in the order (i), (ii-a), (ii-b).
+    for stored, first in (
+        ((w_i, w_iia, w_iib), w_i),
+        ((None, w_iia, w_iib), w_iia),
+        ((None, None, w_iib), w_iib),
+    ):
+        report = BoundPairReport("mu", "eta", *stored)
+        assert not report.passed
+        assert report.witness is first
+        holds = (report.property_i_holds, report.property_iia_holds,
+                 report.property_iib_holds)
+        assert holds == tuple(w is None for w in stored)
+
+
+def test_first_difference_finds_the_first_failing_component():
+    lhs = (Fraction(1), Fraction(5), Fraction(3))
+    rhs = (Fraction(1), Fraction(2), Fraction(4))
+    assert first_difference(lhs, rhs) == Witness(1, lhs, rhs)
+    assert first_difference(lhs, rhs, le) == Witness(1, lhs, rhs)
+    assert first_difference(lhs, rhs, ge) == Witness(2, lhs, rhs)
+    assert first_difference(lhs, lhs) is None
+    assert first_difference(rhs, (Fraction(4),) * 3, le) is None
 
 
 @settings(max_examples=60, deadline=None)

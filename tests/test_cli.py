@@ -312,6 +312,10 @@ REJECTION_FILTERS = (
         # passes SCALE_CAP, so every sweep runs on the Fractions.
         (["report", "--game", FERMAT3, "--format", "json"], "fermat3_report.json"),
         (["check", "--game", FERMAT3, "--format", "json"], "fermat3_check.json"),
+        # The default table format.
+        (["report", "--game", DENSE8], "dense8_report.txt"),
+        (["bounds", "--game", DENSE8, "--pair", "tau"], "dense8_bounds_tau.txt"),
+        (["check", "--game", MAJORITY5], "majority5_check.txt"),
     ],
 )
 def test_output_matches_golden(argv, golden, capsys):

@@ -14,6 +14,7 @@ from coopvals import (
     InvalidPlayerIndex,
     NonPositiveScale,
     NonzeroEmptyCoalition,
+    ParseError,
     PlayerCountExceeded,
     TooFewPlayers,
     TUGame,
@@ -36,6 +37,7 @@ from coopvals import (
     worth,
     zero_normalise,
 )
+from coopvals.game import as_fraction, coalition_total
 
 
 def test_tugame_validation():
@@ -75,6 +77,31 @@ def test_coalition_helpers():
     assert members(0b101) == (0, 2)
     with pytest.raises(InvalidPlayerIndex):
         coalition([-1])
+
+
+@pytest.mark.parametrize("S", [-1, -0b101, -(1 << 70)])
+def test_a_negative_coalition_is_refused(S):
+    # A negative mask has infinitely many set bits in two's complement.
+    with pytest.raises(InvalidPlayerIndex):
+        members(S)
+    with pytest.raises(InvalidPlayerIndex):
+        coalition_total((Fraction(1),) * 3, S)
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc"])
+def test_a_bad_rational_text_raises_parse_error(text, g6):
+    with pytest.raises(ParseError, match="is not a rational literal"):
+        as_fraction(text)
+    with pytest.raises(ParseError):
+        TUGame(1, (0, text))
+    with pytest.raises(ParseError):
+        build_game(2, {0b01: text})
+    with pytest.raises(ParseError):
+        transform(g6, text, (0, 0, 0))
+    with pytest.raises(ParseError):
+        transform(g6, 1, (0, text, 0))
+    with pytest.raises(ParseError):
+        compromise(g6, (0, 0, text), (1, 1, 1))
 
 
 def test_build_game_entries():
