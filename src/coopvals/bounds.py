@@ -31,15 +31,15 @@ the condition fails, found by first_difference(lhs, rhs, holds).  Check
 results store only witnesses; passed and the property_*_holds flags are
 read off them.
 
-The extreme marginals, mu^eta and the class tests sweep the integer-scaled
-table with the subset kernel of coopvals.game, in O(n * 2^n).
+Every sweep of the worth table runs in coopvals.game, in O(n * 2^n):
+_extreme_marginals (Kikuta, Milnor), _max_excess_containing (mu^eta) and
+_max_excess (strong upper bounds, b-hat); this module reads no scaled state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from operator import add, eq, le, sub
 from typing import Callable, Sequence, Tuple, Union
 
@@ -52,9 +52,10 @@ from .errors import (
 )
 from .game import (
     TUGame,
+    _extreme_marginals,
+    _max_excess,
+    _max_excess_containing,
     as_fraction,
-    excess_table,
-    halves,
     in_class,
     individual_worths,
     marginal_contributions,
@@ -109,11 +110,6 @@ def milnor_upper(v: TUGame) -> BoundVector:
     return _extreme_marginals(v, max)
 
 
-def _extreme_marginals(v: TUGame, pick) -> BoundVector:
-    L, W = v.scaled
-    return tuple(Fraction(pick(map(sub, *halves(W, i))), L) for i in range(v.n))
-
-
 def zero_lower(v: TUGame) -> BoundVector:
     return (Fraction(0),) * v.n
 
@@ -149,7 +145,7 @@ def eta_from_lower(v: TUGame, mu: Sequence[Fraction]) -> BoundVector:
     """The residual upper bound eta^mu_i(v) = v(N) - sum_{j != i} mu_j(v)."""
     mu = tuple(map(as_fraction, mu))
     if len(mu) != v.n:
-        raise CoopvalsError(f"expected {v.n} bound components, got {len(mu)}")
+        raise CoopvalsError(f"lower bound must have {v.n} components, got {len(mu)}")
     # v(N) - (sum(mu) - mu_i), with the part common to every i taken once.
     rest = v.total - sum(mu)
     return tuple(rest + mu_i for mu_i in mu)
@@ -157,10 +153,7 @@ def eta_from_lower(v: TUGame, mu: Sequence[Fraction]) -> BoundVector:
 
 def mu_from_upper_vector(v: TUGame, eta: Sequence[Fraction]) -> BoundVector:
     """mu^eta_i = eta_i + max_{S: i in S} (v(S) - eta(S)) for an evaluated eta."""
-    L, E, excess = excess_table(v, eta)
-    return tuple(
-        Fraction(E[i] + max(halves(excess, i)[0]), L) for i in range(v.n)
-    )
+    return tuple(map(add, map(as_fraction, eta), _max_excess_containing(v, eta)))
 
 
 def mu_from_upper(v: TUGame, eta_id: Union[str, "BoundFunctional"]) -> BoundVector:
@@ -432,8 +425,7 @@ class MembershipReport:
 
 def is_strongly_upper_bounded(v: TUGame, eta: Sequence[Fraction]) -> bool:
     """v(S) <= sum_{i in S} eta_i for every nonempty coalition S."""
-    # The empty coalition has excess 0, so it does not move the maximum.
-    return max(excess_table(v, eta)[2]) <= 0
+    return _max_excess(v, eta) <= 0
 
 
 def membership(
@@ -458,8 +450,7 @@ def membership(
     # excess of v over the vector nu + slack is at most -slack.
     nu = individual_worths(v)
     slack = vN - sum(nu)
-    L, _, excess = excess_table(v, [c + slack for c in nu])
-    in_b_hat = max(islice(excess, 1, None)) <= -slack * L
+    in_b_hat = _max_excess(v, [c + slack for c in nu]) <= -slack
     return MembershipReport(
         in_balanced=in_balanced,
         in_lower_class=in_lower,

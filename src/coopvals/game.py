@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import gcd, lcm
 from operator import add, ge, mul, sub
 from typing import (
@@ -111,16 +111,22 @@ def as_fraction(x: RationalLike) -> Fraction:
 
     Binary floats are refused: Fraction(0.1) is the float's dyadic expansion,
     not 1/10, so a float would silently change the game or vector it is in.
-    Text that is not a rational literal ("abc", "1/0") raises ParseError.
+    So is anything else that is not a rational number or text (None, a list,
+    a complex, an infinite Decimal); the CoopvalsError names its type.  Text
+    that is not a rational literal ("abc", "1/0") raises ParseError.
     """
     if type(x) is Fraction:
         return x
-    if isinstance(x, float):
-        raise CoopvalsError(f"expected a Fraction, int or str, got the float {x!r}")
-    try:
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{str(x)[:40]!r} is not a rational literal") from None
+    if not isinstance(x, float):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"{str(x)[:40]!r} is not a rational literal") from None
+        except (TypeError, OverflowError):
+            pass
+    raise CoopvalsError(
+        f"expected a Fraction, int or str, got the {type(x).__name__} {str(x)[:40]}"
+    )
 
 
 def coalition(players: Iterable[int]) -> int:
@@ -192,6 +198,10 @@ def halves(table: Sequence, i: int) -> Tuple[Iterable, Iterable]:
 
 
 def _check_coalition(S: int, n: int) -> None:
+    if not isinstance(S, int):
+        raise InvalidPlayerIndex(
+            f"a coalition is an int bit pattern, got the {type(S).__name__} {S!r:.40}"
+        )
     if S < 0 or S >> n:
         raise InvalidPlayerIndex(
             f"coalition {bin(S)} mentions players outside 0..{n - 1}"
@@ -199,6 +209,10 @@ def _check_coalition(S: int, n: int) -> None:
 
 
 def _check_players(n: int) -> None:
+    if not isinstance(n, int):
+        raise CoopvalsError(
+            f"the player count must be an int, got the {type(n).__name__} {n!r:.40}"
+        )
     if n < 1:
         raise TooFewPlayers(f"a game needs at least one player, got n={n}")
     cap = player_cap()
@@ -497,8 +511,7 @@ def transform(v: TUGame, scale: RationalLike, shift: Sequence[RationalLike]) -> 
 
 def subtract_allocation(v: TUGame, x: Sequence[RationalLike]) -> TUGame:
     """The shifted game (v - x)(S) = v(S) - x(S)."""
-    L, _, excess = excess_table(v, x)
-    return TUGame.from_scaled(v.n, L, excess, v.labels)
+    return TUGame.from_scaled(v.n, *excess_table(v, x), v.labels)
 
 
 def base_game(n: int, S: int) -> TUGame:
@@ -525,13 +538,29 @@ def unanimity_game(n: int, T: int) -> TUGame:
     return TUGame.from_scaled(n, 1, [int(S & T == T) for S in range(1 << n)])
 
 
+def excess_table(v: TUGame, x: Sequence[RationalLike]) -> Tuple[int, list]:
+    """(L, e) with e[S] = L * (v(S) - x(S)) for every coalition S, for a
+    common denominator L of the game and x as in scaled_with."""
+    L, W, X = scaled_with(v, x)
+    return L, list(map(sub, W, additive_table(X)))
 
 
-def excess_table(v: TUGame, eta: Sequence[RationalLike]) -> Tuple[int, list, list]:
-    """(L, L*eta, e) with e[S] = L * (v(S) - eta(S)) for every coalition S,
-    for a common denominator L of the game and eta as in scaled_with."""
-    L, W, E = scaled_with(v, eta)
-    return L, E, list(map(sub, W, additive_table(E)))
+def _max_excess(v: TUGame, x: Sequence[RationalLike]) -> Fraction:
+    """max of v(S) - x(S) over the nonempty coalitions S."""
+    L, e = excess_table(v, x)
+    return Fraction(max(islice(e, 1, None)), L)
+
+
+def _max_excess_containing(v: TUGame, x: Sequence[RationalLike]) -> Allocation:
+    """For each player i, max of v(S) - x(S) over the S that contain i."""
+    L, e = excess_table(v, x)
+    return tuple(Fraction(max(halves(e, i)[0]), L) for i in range(v.n))
+
+
+def _extreme_marginals(v: TUGame, pick) -> Allocation:
+    """Per player i, pick (min or max) of v(S) - v(S-i) over the S containing i."""
+    L, W = v.scaled
+    return tuple(Fraction(pick(map(sub, *halves(W, i))), L) for i in range(v.n))
 
 
 def _marginal_pass(v: TUGame) -> Tuple[bool, bool]:
@@ -581,8 +610,7 @@ _CLASS_TESTS: dict[str, Callable[[TUGame], bool]] = {
     "convex": lambda v: _marginal_pass(v)[1],
     "essential": lambda v: in_class(v, "weakly-essential") and in_class(v, "M-upper"),
     "weakly-essential": lambda v: sum(individual_worths(v)) <= v.total,
-    # The empty coalition has excess 0, so it does not move the maximum.
-    "semi-balanced": lambda v: max(excess_table(v, marginal_contributions(v))[2]) <= 0,
+    "semi-balanced": lambda v: _max_excess(v, marginal_contributions(v)) <= 0,
     "M-lower": lambda v: v.total >= sum(marginal_contributions(v)),
     "M-upper": lambda v: v.total <= sum(marginal_contributions(v)),
 }

@@ -316,6 +316,14 @@ REJECTION_FILTERS = (
         (["report", "--game", DENSE8], "dense8_report.txt"),
         (["bounds", "--game", DENSE8, "--pair", "tau"], "dense8_bounds_tau.txt"),
         (["check", "--game", MAJORITY5], "majority5_check.txt"),
+        # Past SCALE_CAP: membership, mu^eta and Kikuta/Milnor on the Fractions.
+        *(
+            (
+                ["bounds", "--game", FERMAT3, "--pair", pair, "--format", "json"],
+                f"fermat3_bounds_{pair}.json",
+            )
+            for pair in ("chi", "cis", "eansc", "gately", "km", "tau")
+        ),
     ],
 )
 def test_output_matches_golden(argv, golden, capsys):

@@ -1,5 +1,6 @@
 """Game layer: construction, validation, transforms, classification."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -238,3 +239,42 @@ def test_binary_floats_are_refused(call):
     with pytest.raises(CoopvalsError, match="float 0.5"):
         call(0.5)
     assert call(Fraction(1, 2)) == call("1/2")
+
+
+# Inputs that are neither rational numbers nor text, with the type the
+# refusal names.
+NOT_RATIONAL = {
+    "None": (lambda: as_fraction(None), "NoneType"),
+    "list": (lambda: as_fraction([1]), "list"),
+    "complex": (lambda: as_fraction(1j), "complex"),
+    "Decimal-Infinity": (lambda: as_fraction(Decimal("Infinity")), "Decimal"),
+    "build_game": (lambda: build_game(2, {1: None}), "NoneType"),
+    "compromise": (lambda: compromise(_V, [None, 0], [1, 1]), "NoneType"),
+}
+
+
+@pytest.mark.parametrize("call, kind", NOT_RATIONAL.values(), ids=list(NOT_RATIONAL))
+def test_a_value_that_is_not_rational_is_refused(call, kind):
+    with pytest.raises(CoopvalsError, match=f"int or str, got the {kind} "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: TUGame("2", [0] * 4), "player count must be an int"),
+        (lambda: build_game(2.0, {1: 1}), "player count must be an int"),
+        (lambda: build_game(2, {"1": 1}), "coalition is an int bit pattern"),
+        (lambda: unanimity_game(2, 1.5), "coalition is an int bit pattern"),
+    ],
+    ids=["TUGame-n", "build_game-n", "build_game-coalition", "unanimity_game-carrier"],
+)
+def test_a_player_count_or_coalition_that_is_not_an_int_is_refused(call, error):
+    with pytest.raises(CoopvalsError, match=error) as raised:
+        call()
+    assert isinstance(raised.value, InvalidPlayerIndex) == ("coalition" in error)
+
+
+def test_bools_still_count_as_ints():
+    assert TUGame(True, (0, 1)).n == 1
+    assert build_game(2, {True: 3}).worth(0b01) == 3

@@ -36,7 +36,7 @@ from coopvals import (
     ubc_value,
     zero_normalise,
 )
-from coopvals.bounds import BoundFunctional, mu_from_upper_vector
+from coopvals.bounds import BoundFunctional, eta_from_lower, mu_from_upper_vector
 from coopvals.game import (
     CLASSES,
     SCALE_CAP,
@@ -361,8 +361,12 @@ def test_derived_games_build_no_fraction_per_coalition():
         mu_from_upper_vector,
         subtract_allocation,
         lambda v, x: transform(v, 2, x),
+        eta_from_lower,
     ],
-    ids=["excess_table", "strong_upper", "mu_from_upper", "subtract", "transform"],
+    ids=[
+        "excess_table", "strong_upper", "mu_from_upper", "subtract", "transform",
+        "eta_from_lower",
+    ],
 )
 def test_a_vector_of_the_wrong_length_is_refused(v, length, use):
     with pytest.raises(CoopvalsError, match=f"must have 3 components, got {length}"):

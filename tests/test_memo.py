@@ -40,7 +40,7 @@ from coopvals import (
     subtract_allocation,
     transform,
 )
-from coopvals import bounds, cli, game
+from coopvals import cli, game
 from coopvals.bounds import MU_FROM_MILNOR
 from coopvals.verify import CLASS_FILTERS
 
@@ -259,8 +259,7 @@ def test_each_excess_table_is_built_once(name, argv, tables, monkeypatch, capsys
         built.append(eta)
         return original(v, eta)
 
-    for module in (game, bounds):
-        monkeypatch.setattr(module, "excess_table", counting)
+    monkeypatch.setattr(game, "excess_table", counting)
     path = str(GOLDEN / f"{name}_game.json")
     assert cli.main([*argv[:1], "--game", path, *argv[1:]]) == 0
     capsys.readouterr()
