@@ -34,13 +34,16 @@ read off them.
 Every sweep of the worth table runs in coopvals.game, in O(n * 2^n):
 _extreme_marginals (Kikuta, Milnor), _max_excess_containing (mu^eta) and
 _max_excess (strong upper bounds, b-hat); this module reads no scaled state.
+Sums of bound vectors and the componentwise formulas (eta^mu, mu~, eta -
+mu, fn(v) + x) go through the vector step there too: _total, _share and
+_affine, in ints over one common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, eq, le, sub
+from operator import add, eq, le
 from typing import Callable, Sequence, Tuple, Union
 
 from .errors import (
@@ -52,9 +55,12 @@ from .errors import (
 )
 from .game import (
     TUGame,
+    _affine,
     _extreme_marginals,
     _max_excess,
     _max_excess_containing,
+    _share,
+    _total,
     as_fraction,
     in_class,
     individual_worths,
@@ -136,9 +142,7 @@ def eansc_tilde_lower(v: TUGame) -> BoundVector:
     """
     if v.n < 2:
         raise TooFewPlayers("the EANSC tilde lower bound needs n >= 2")
-    M = marginal_contributions(v)
-    residual = (v.total - sum(M)) / (v.n - 1)
-    return tuple(M_i + residual for M_i in M)
+    return _share(marginal_contributions(v), v.total, v.n - 1)
 
 
 def eta_from_lower(v: TUGame, mu: Sequence[Fraction]) -> BoundVector:
@@ -146,9 +150,8 @@ def eta_from_lower(v: TUGame, mu: Sequence[Fraction]) -> BoundVector:
     mu = tuple(map(as_fraction, mu))
     if len(mu) != v.n:
         raise CoopvalsError(f"lower bound must have {v.n} components, got {len(mu)}")
-    # v(N) - (sum(mu) - mu_i), with the part common to every i taken once.
-    rest = v.total - sum(mu)
-    return tuple(rest + mu_i for mu_i in mu)
+    # v(N) - (sum(mu) - mu_i) = mu_i + (v(N) - sum(mu)).
+    return _share(mu, v.total, 1)
 
 
 def mu_from_upper_vector(v: TUGame, eta: Sequence[Fraction]) -> BoundVector:
@@ -374,7 +377,7 @@ def check_bound_pair(
         eta_fn.id,
         witness_i=first_difference(mu, eta, le),
         witness_iia=first_difference(mu_fn(shifted), (Fraction(0),) * v.n),
-        witness_iib=first_difference(eta_fn(shifted), tuple(map(sub, eta, mu))),
+        witness_iib=first_difference(eta_fn(shifted), _affine(-1, mu, eta)),
     )
 
 
@@ -383,7 +386,7 @@ def is_regular_lower(
 ) -> CheckOutcome:
     """Check mu(v - mu(v)) = 0 for a game in the lower-bound class of mu."""
     fn = functional(mu_id)
-    if sum(fn(v)) > v.total:
+    if _total(fn(v)) > v.total:
         raise NotInClass(f"B_l({fn.id})")
     zero = (Fraction(0),) * v.n
     return CheckOutcome(
@@ -402,7 +405,7 @@ def check_translation_covariance(
     lhs = fn(transform(v, 1, x))
     return CheckOutcome(
         f"translation_covariance:{fn.id}",
-        first_difference(lhs, tuple(map(add, fn(v), x))),
+        first_difference(lhs, _affine(1, fn(v), x)),
     )
 
 
@@ -437,20 +440,20 @@ def membership(
     mu_fn, eta_fn = functional(mu_id), functional(eta_id)
     mu, eta = mu_fn(v), eta_fn(v)
     vN = v.total
-    in_lower = sum(mu) <= vN
-    in_balanced = in_lower and vN <= sum(eta)
+    in_lower = _total(mu) <= vN
+    in_balanced = in_lower and vN <= _total(eta)
     if eta_fn.is_translation_covariant:
         derived = mu_from_upper(v, eta_fn)
         in_strong = all(map(le, derived, eta))
-        in_proper: bool | None = in_strong and sum(derived) <= vN
+        in_proper: bool | None = in_strong and _total(derived) <= vN
     else:
         in_strong, in_proper = is_strongly_upper_bounded(v, eta), None
 
-    # b_hat: v(S) - nu(S) <= (|S| - 1) * slack for nonempty S, that is, the
-    # excess of v over the vector nu + slack is at most -slack.
+    # b_hat: v(S) - nu(S) <= (|S| - 1) * slack for nonempty S, with slack =
+    # v(N) - sum(nu), that is, the excess of v over the vector nu + slack,
+    # which is eta^nu, is at most -slack.
     nu = individual_worths(v)
-    slack = vN - sum(nu)
-    in_b_hat = _max_excess(v, [c + slack for c in nu]) <= -slack
+    in_b_hat = _max_excess(v, eta_from_lower(v, nu)) <= _total(nu) - vN
     return MembershipReport(
         in_balanced=in_balanced,
         in_lower_class=in_lower,

@@ -16,6 +16,12 @@ step that finds a common denominator; when L would exceed SCALE_CAP it
 gives (1, the worths as Fractions) instead, and the same code runs on the
 Fractions.  TUGame.worths, the Fraction table, is a view built on first
 use.  There is no floating point here.
+
+Vectors go through _scale too.  _common brings the n-vectors and scalars
+of one formula (mu, eta and v(N), say) to one common denominator; _total,
+_affine and _share, and the compromise point of values._mix, add, shift
+and mix those ints and build one Fraction per output component, not one
+per intermediate sum.
 """
 
 from __future__ import annotations
@@ -87,6 +93,8 @@ RationalLike = Union[Fraction, int, str]
 Allocation = Tuple[Fraction, ...]
 T = TypeVar("T")
 
+_NOT_A_PATTERN = "a coalition is an int bit pattern"
+
 
 def player_cap() -> int:
     """Player cap: COOPVALS_MAX_PLAYERS if set, else 20."""
@@ -129,10 +137,16 @@ def as_fraction(x: RationalLike) -> Fraction:
     )
 
 
+def _check_int(x, what: str) -> None:
+    if not isinstance(x, int):
+        raise InvalidPlayerIndex(f"{what}, got the {type(x).__name__} {x!r:.40}")
+
+
 def coalition(players: Iterable[int]) -> int:
     """Bit pattern of a set of 0-based player indices."""
     mask = 0
     for i in players:
+        _check_int(i, "a player index is an int")
         if i < 0:
             raise InvalidPlayerIndex(f"negative player index {i}")
         mask |= 1 << i
@@ -141,6 +155,7 @@ def coalition(players: Iterable[int]) -> int:
 
 def members(S: int) -> Tuple[int, ...]:
     """0-based player indices of a coalition, ascending."""
+    _check_int(S, _NOT_A_PATTERN)
     if S < 0:
         raise InvalidPlayerIndex(f"negative coalition {S}")
     out = []
@@ -198,10 +213,7 @@ def halves(table: Sequence, i: int) -> Tuple[Iterable, Iterable]:
 
 
 def _check_coalition(S: int, n: int) -> None:
-    if not isinstance(S, int):
-        raise InvalidPlayerIndex(
-            f"a coalition is an int bit pattern, got the {type(S).__name__} {S!r:.40}"
-        )
+    _check_int(S, _NOT_A_PATTERN)
     if S < 0 or S >> n:
         raise InvalidPlayerIndex(
             f"coalition {bin(S)} mentions players outside 0..{n - 1}"
@@ -239,6 +251,45 @@ def _scale(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, list]:
             if L > SCALE_CAP:
                 return 1, [Fraction(p, q) for p, q in pairs]
     return L, [p * (L // q) for p, q in pairs]
+
+
+def _common(*parts: Sequence[Fraction]) -> Tuple[int, list]:
+    """(L, [[L * c for c in part] for part in parts]) as ints, for L the
+    common denominator of every component of every part; (1, the parts as
+    Fractions) past SCALE_CAP, as _scale gives.  A scalar is passed as a
+    1-tuple.  The vector formulas below, and those of bounds, values and
+    verify, add, shift and mix these ints and build one Fraction per
+    output component."""
+    L, flat = _scale([c.as_integer_ratio() for part in parts for c in part])
+    out, start = [], 0
+    for part in parts:
+        out.append(flat[start:start + len(part)])
+        start += len(part)
+    return L, out
+
+
+def _total(x: Sequence[Fraction]) -> Fraction:
+    """sum(x), added in ints over one common denominator."""
+    L, (X,) = _common(x)
+    return Fraction(sum(X), L)
+
+
+def _affine(
+    scale: Union[Fraction, int], x: Sequence[Fraction], shift: Sequence[Fraction]
+) -> Allocation:
+    """scale * x_i + shift_i for each i: with scale = p / q, the ints
+    p * X_i + q * Y_i over q * L."""
+    p, q = scale.numerator, scale.denominator
+    L, (X, Y) = _common(x, shift)
+    return tuple(Fraction(p * a + q * b, q * L) for a, b in zip(X, Y))
+
+
+def _share(x: Sequence[Fraction], total: Fraction, k: int) -> Allocation:
+    """x_i + (total - sum(x)) / k for each i: x plus a k-th of what it
+    leaves of total, as the ints k * X_i + rest over k * L."""
+    L, (X, (V,)) = _common(x, (total,))
+    rest = V - sum(X)
+    return tuple(Fraction(k * c + rest, k * L) for c in X)
 
 
 @dataclass(frozen=True, init=False)
@@ -449,6 +500,7 @@ def build_game(
     pending = []
     for S, w in items:
         w = as_fraction(w)
+        _check_int(S, _NOT_A_PATTERN)
         if S in seen:
             raise DuplicateCoalition(f"coalition {bin(S)} given twice")
         seen.add(S)
@@ -609,10 +661,10 @@ _CLASS_TESTS: dict[str, Callable[[TUGame], bool]] = {
     "superadditive": _superadditive,
     "convex": lambda v: _marginal_pass(v)[1],
     "essential": lambda v: in_class(v, "weakly-essential") and in_class(v, "M-upper"),
-    "weakly-essential": lambda v: sum(individual_worths(v)) <= v.total,
+    "weakly-essential": lambda v: _total(individual_worths(v)) <= v.total,
     "semi-balanced": lambda v: _max_excess(v, marginal_contributions(v)) <= 0,
-    "M-lower": lambda v: v.total >= sum(marginal_contributions(v)),
-    "M-upper": lambda v: v.total <= sum(marginal_contributions(v)),
+    "M-lower": lambda v: v.total >= _total(marginal_contributions(v)),
+    "M-upper": lambda v: v.total <= _total(marginal_contributions(v)),
 }
 
 

@@ -51,11 +51,13 @@ _TOP_LEVEL_KEYS = {"players", "labels", "worths", "worths_by_mask"}
 
 
 def _no_duplicate_keys(pairs):
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ParseError(f"duplicate key {key!r}")
-        doc[key] = value
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
     return doc
 
 

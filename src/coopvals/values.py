@@ -44,7 +44,7 @@ from .errors import (
     NotInClass,
     NotRegularLowerBound,
 )
-from .game import TUGame, as_fraction, in_class, individual_worths
+from .game import TUGame, _common, _total, as_fraction, in_class, individual_worths
 
 __all__ = [
     "ValueResult",
@@ -91,15 +91,20 @@ def _mix(
 ) -> ValueResult:
     """The efficient point mu + lam * (eta - mu); no weight when mu = eta.
 
-    Callers guard their own domain; this only needs sum(eta) != sum(mu)
-    whenever mu != eta.
+    With mu, eta and v(N) over one common denominator L as the ints M, E
+    and V, lam = num / den for num = V - sum(M) and den = sum(E) - sum(M),
+    and alloc_i = (M_i * den + num * (E_i - M_i)) / (L * den): the n + 1
+    Fractions of the result are the only ones built.  Callers guard their
+    own domain; this only needs sum(eta) != sum(mu) whenever mu != eta.
     """
     if mu == eta:
         return ValueResult(value_id, mu, None, mu, eta, route)
-    s_mu = sum(mu)
-    lam = (v.total - s_mu) / (sum(eta) - s_mu)
-    alloc = tuple(m + lam * (e - m) for m, e in zip(mu, eta))
-    return ValueResult(value_id, alloc, lam, mu, eta, route)
+    L, (M, E, (V,)) = _common(mu, eta, (v.total,))
+    s_mu = sum(M)
+    num, den = V - s_mu, sum(E) - s_mu
+    scale = L * den
+    alloc = tuple(Fraction(m * den + num * (e - m), scale) for m, e in zip(M, E))
+    return ValueResult(value_id, alloc, Fraction(num, den), mu, eta, route)
 
 
 def _as_vector(x: Sequence, n: int, what: str) -> BoundVector:
@@ -124,17 +129,18 @@ def compromise(
     """
     mu = _as_vector(mu, v.n, "lower bound")
     eta = _as_vector(eta, v.n, "upper bound")
+    L, (M, E, (V,)) = _common(mu, eta, (v.total,))
     for i in range(v.n):
-        if mu[i] > eta[i]:
+        if M[i] > E[i]:
             raise BoundOrderViolated(
                 f"lower bound exceeds upper bound at player {i + 1}: "
                 f"{mu[i]} > {eta[i]}"
             )
-    vN = v.total
-    s_mu, s_eta = sum(mu), sum(eta)
-    if not s_mu <= vN <= s_eta:
+    s_mu, s_eta = sum(M), sum(E)
+    if not s_mu <= V <= s_eta:
         raise NotBalanced(
-            f"v(N) = {vN} is outside the bound bracket [{s_mu}, {s_eta}]"
+            f"v(N) = {v.total} is outside the bound bracket "
+            f"[{Fraction(s_mu, L)}, {Fraction(s_eta, L)}]"
         )
     return _mix(v, mu, eta, value_id, route)
 
@@ -154,7 +160,7 @@ def lbc_value(
     if fn.is_regular_lower is not True:
         raise NotRegularLowerBound(f"{fn.id} is not flagged as a regular lower bound")
     mu = fn(v)
-    if sum(mu) > v.total:
+    if _total(mu) > v.total:
         raise NotInClass(f"B_l({fn.id})")
     eta = bounds.eta_from_lower(v, mu)
     return compromise(v, mu, eta, value_id=value_id or f"lbc:{fn.id}")
@@ -220,7 +226,7 @@ def _gately(v: TUGame) -> ValueResult:
         raise NotInClass("essential")
     nu = individual_worths(v)
     M = bounds.marginal_contributions(v)
-    if nu != M and sum(M) == sum(nu):
+    if nu != M and _total(M) == _total(nu):
         raise DegenerateBounds(
             "sum(M - nu) = 0 with nu != M leaves the formula undefined"
         )
@@ -254,7 +260,8 @@ def _pansc(v: TUGame) -> ValueResult:
             raise BoundOrderViolated(
                 f"marginal contribution of player {i + 1} is negative: {M[i]}"
             )
-    if vN != 0 and sum(M) == 0:
+    # M >= 0 here, so sum(M) = 0 exactly when M = 0.
+    if vN != 0 and not any(M):
         raise DegenerateBounds("sum(M) = 0 cannot pay out v(N) != 0")
     return _mix(v, (Fraction(0),) * v.n, M, "pansc")
 

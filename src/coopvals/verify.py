@@ -41,8 +41,12 @@ from .errors import (
 from .game import (
     CLASSES,
     TUGame,
+    _affine,
+    _common,
     _from_pairs,
     _scale,
+    _share,
+    _total,
     additive_table,
     as_fraction,
     dual,
@@ -138,21 +142,21 @@ def check_axiom(
     alloc = result.allocation
 
     if axiom_id == "Efficiency":
-        witness = first_difference((sum(alloc),), (v.total,))
+        witness = first_difference((_total(alloc),), (v.total,))
     elif axiom_id == "MinimalRights":
         inner = _derived(f, value_id, "shifted", mu_fn.shifted(v))
-        witness = first_difference(alloc, tuple(map(add, inner, mu_fn(v))))
+        witness = first_difference(alloc, _affine(1, inner, mu_fn(v)))
     elif axiom_id == "RestrictedProportionality":
-        eta = eta_fn(v)
-        s_alloc, s_eta = sum(alloc), sum(eta)
-        lhs = tuple(a * s_eta for a in alloc)
-        witness = first_difference(lhs, tuple(s_alloc * e for e in eta))
+        # f_i * sum(eta) against sum(f) * eta_i, both over L * L.
+        L, (A, E) = _common(alloc, eta_fn(v))
+        s_alloc, s_eta, LL = sum(A), sum(E), L * L
+        lhs = tuple(Fraction(a * s_eta, LL) for a in A)
+        witness = first_difference(lhs, tuple(Fraction(s_alloc * e, LL) for e in E))
     elif axiom_id == "EgalitarianDivision":
         witness = first_difference(alloc, (alloc[0],) * v.n)
     elif axiom_id == "Covariance":
         moved = _derived(f, value_id, "transformed", transform(v, scale, shift))
-        rhs = tuple(scale * a + x for a, x in zip(alloc, shift))
-        witness = first_difference(moved, rhs)
+        witness = first_difference(moved, _affine(scale, alloc, shift))
     elif axiom_id == "SelfDuality":
         witness = first_difference(_derived(f, value_id, "dual", dual(v)), alloc)
     else:  # IndividualRationality
@@ -449,23 +453,17 @@ def _is_defined(f: Callable[[TUGame], values.ValueResult], v: TUGame) -> bool:
     return True
 
 
-def _spread(v: TUGame, x: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
-    """x_i + (v(N) - sum_j x_j) / n: x plus an equal share of the rest."""
-    residual = (v.total - sum(x)) / v.n
-    return tuple(c + residual for c in x)
-
-
 def _eansc_dual_identity(v: TUGame) -> Witness | None:
-    """EANSC of v equals CIS of the dual game."""
+    """EANSC of v equals CIS of the dual game, v*_i + (v*(N) - sum_j v*_j) / n."""
     star = dual(v)
-    cis_of_dual = _spread(star, individual_worths(star))
+    cis_of_dual = _share(individual_worths(star), star.total, v.n)
     return first_difference(values.eansc(v).allocation, cis_of_dual)
 
 
 def _eansc_route_agreement(v: TUGame) -> Witness | None:
     """EANSC and its rebuild through each bound-pair route that covers v
     equal the closed form M_i + (v(N) - sum_j M_j) / n."""
-    closed = _spread(v, bounds.marginal_contributions(v))
+    closed = _share(bounds.marginal_contributions(v), v.total, v.n)
     allocations = [values.eansc(v).allocation]
     allocations += [
         values.compromise(v, functional(mu)(v), functional(eta)(v)).allocation

@@ -324,6 +324,12 @@ REJECTION_FILTERS = (
             )
             for pair in ("chi", "cis", "eansc", "gately", "km", "tau")
         ),
+        # The suite_small benchmark workload's command.
+        (
+            ["check", "--sample", "--n", "5", "--count", "10", "--seed", "1",
+             "--format", "json"],
+            "check_sample_n5_seed1.json",
+        ),
     ],
 )
 def test_output_matches_golden(argv, golden, capsys):

@@ -278,3 +278,30 @@ def test_a_player_count_or_coalition_that_is_not_an_int_is_refused(call, error):
 def test_bools_still_count_as_ints():
     assert TUGame(True, (0, 1)).n == 1
     assert build_game(2, {True: 3}).worth(0b01) == 3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coalition([1.5]),
+        lambda: members(1.5),
+        lambda: coalition_total((Fraction(1),) * 3, 1.5),
+        # The type is tested before the duplicate test, which would spell
+        # the key with bin() or hash it.
+        lambda: build_game(2, [("1", 1), ("1", 2)]),
+        lambda: build_game(2, [([1], 1)]),
+        # 0.0 == 0, but a float is no coalition, not even the empty one.
+        lambda: build_game(2, {0.0: 0}),
+    ],
+    ids=["coalition", "members", "coalition_total", "build_game-repeated-str",
+         "build_game-list", "build_game-float-empty"],
+)
+def test_a_coalition_or_player_that_is_not_an_int_is_refused(call):
+    with pytest.raises(InvalidPlayerIndex, match="is an int"):
+        call()
+
+
+def test_bool_players_and_coalitions_still_count_as_ints():
+    assert coalition([True, 0]) == 0b11
+    assert members(True) == (0,)
+    assert coalition_total((Fraction(2), Fraction(3)), True) == 2

@@ -36,18 +36,29 @@ from coopvals import (
     ubc_value,
     zero_normalise,
 )
-from coopvals.bounds import BoundFunctional, eta_from_lower, mu_from_upper_vector
+from coopvals.bounds import (
+    BoundFunctional,
+    eansc_tilde_lower,
+    eta_from_lower,
+    mu_from_upper_vector,
+)
 from coopvals.game import (
     CLASSES,
     SCALE_CAP,
+    _affine,
+    _common,
+    _share,
+    _total,
     additive_table,
     build_game,
     coalition_total,
     excess_table,
     halves,
     in_class,
+    marginal_contributions,
     zeta,
 )
+from coopvals.values import _mix
 
 FERMAT = [2 ** (2**k) + 1 for k in range(10)]
 
@@ -371,3 +382,66 @@ def test_derived_games_build_no_fraction_per_coalition():
 def test_a_vector_of_the_wrong_length_is_refused(v, length, use):
     with pytest.raises(CoopvalsError, match=f"must have 3 components, got {length}"):
         use(v, (1,) * length)
+
+
+def _game_and_two_vectors(n):
+    vector = st.lists(rationals, min_size=n, max_size=n).map(tuple)
+    games = st.one_of(_random_games(n), _convex_games(n), _nudged(_convex_games(n), n))
+    return st.tuples(games, vector, vector)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 6).flatmap(_game_and_two_vectors))
+# Fermat denominators: every common denominator passes SCALE_CAP, so the
+# vector step runs on the Fractions.
+@example((
+    TUGame(2, (0, *(Fraction(k, FERMAT[9 - k]) for k in (1, 2, 3)))),
+    (Fraction(1, FERMAT[9]), Fraction(-3, FERMAT[5])),
+    (Fraction(7, FERMAT[9]), Fraction(1, FERMAT[4])),
+))
+def test_vector_step_matches_fraction_arithmetic(drawn):
+    v, x, y = drawn
+    L, (X, Y) = _common(x, y)
+    over_cap = lcm(*(c.denominator for c in x + y)) > SCALE_CAP
+    if over_cap:
+        assert L == 1 and all(type(c) is Fraction for c in X + Y)
+    else:
+        assert all(type(c) is int for c in X + Y)
+    assert tuple(Fraction(c, L) for c in X + Y) == x + y
+
+    vN, total = v.total, sum(x, Fraction(0))
+    assert _total(x) == total
+    assert _affine(1, x, y) == tuple(a + b for a, b in zip(x, y))
+    assert _affine(-1, y, x) == tuple(a - b for a, b in zip(x, y))
+    scale = Fraction(-7, 3)
+    assert _affine(scale, x, y) == tuple(scale * a + b for a, b in zip(x, y))
+    for k in (1, 2, v.n + 1):
+        assert _share(x, vN, k) == tuple(c + (vN - total) / k for c in x)
+    assert eta_from_lower(v, x) == tuple(vN - (total - c) for c in x)
+    M = marginal_contributions(v)
+    if v.n >= 2:
+        residual = (vN - sum(M)) / (v.n - 1)
+        assert eansc_tilde_lower(v) == tuple(c + residual for c in M)
+
+    # _mix against mu + lam * (eta - mu), lam from efficiency; it needs
+    # sum(eta) != sum(mu) whenever mu != eta.
+    if x == y:
+        mixed = _mix(v, x, y, "mixed")
+        assert mixed.lam is None and mixed.allocation == x
+    elif sum(y) != total:
+        mixed = _mix(v, x, y, "mixed")
+        lam = (vN - total) / (sum(y) - total)
+        assert mixed.lam == lam
+        assert mixed.allocation == tuple(m + lam * (e - m) for m, e in zip(x, y))
+
+
+def test_mix_builds_one_fraction_per_component_and_the_weight():
+    n = 8
+    v = TUGame(n, [Fraction(S % 7 - 3, 1 + S % 4) if S else 0 for S in range(1 << n)])
+    mu = tuple(Fraction(i - 5, 1 + i % 3) for i in range(n))
+    eta = tuple(m + Fraction(i + 1, 2 + i % 2) for i, m in enumerate(mu))
+    v.total  # cached before counting
+    with counted_fractions() as built:
+        result = _mix(v, mu, eta, "probe")
+    assert result.lam is not None
+    assert len(built) <= n + 1
