@@ -32,8 +32,12 @@ results store only witnesses; passed and the property_*_holds flags are
 read off them.
 
 Every sweep of the worth table runs in coopvals.game, in O(n * 2^n):
-_extreme_marginals (Kikuta, Milnor), _max_excess_containing (mu^eta) and
-_max_excess (strong upper bounds, b-hat); this module reads no scaled state.
+_extreme_marginals, _derived_lower (mu^eta) and _max_excess (strong upper
+bounds, b-hat); this module reads no scaled state.  One _extreme_marginals
+sweep per game gives both the Kikuta and the Milnor vector: each player's
+marginal contributions are listed once and their min and max both kept in
+the game's memo, so kikuta_lower and milnor_upper on one game cost one
+pass over the table.
 Sums of bound vectors and the componentwise formulas (eta^mu, mu~, eta -
 mu, fn(v) + x) go through the vector step there too: _total, _share and
 _affine, in ints over one common denominator.
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, eq, le
+from operator import eq, le
 from typing import Callable, Sequence, Tuple, Union
 
 from .errors import (
@@ -56,9 +60,9 @@ from .errors import (
 from .game import (
     TUGame,
     _affine,
+    _derived_lower,
     _extreme_marginals,
     _max_excess,
-    _max_excess_containing,
     _share,
     _total,
     as_fraction,
@@ -107,13 +111,15 @@ BoundVector = Tuple[Fraction, ...]
 
 
 def kikuta_lower(v: TUGame) -> BoundVector:
-    """Per-player minimum marginal contribution over coalitions containing them."""
-    return _extreme_marginals(v, min)
+    """Per-player minimum marginal contribution over coalitions containing
+    them, from the sweep that gives milnor_upper too."""
+    return _extreme_marginals(v)[0]
 
 
 def milnor_upper(v: TUGame) -> BoundVector:
-    """Per-player maximum marginal contribution over coalitions containing them."""
-    return _extreme_marginals(v, max)
+    """Per-player maximum marginal contribution over coalitions containing
+    them, from the sweep that gives kikuta_lower too."""
+    return _extreme_marginals(v)[1]
 
 
 def zero_lower(v: TUGame) -> BoundVector:
@@ -155,8 +161,9 @@ def eta_from_lower(v: TUGame, mu: Sequence[Fraction]) -> BoundVector:
 
 
 def mu_from_upper_vector(v: TUGame, eta: Sequence[Fraction]) -> BoundVector:
-    """mu^eta_i = eta_i + max_{S: i in S} (v(S) - eta(S)) for an evaluated eta."""
-    return tuple(map(add, map(as_fraction, eta), _max_excess_containing(v, eta)))
+    """mu^eta_i = eta_i + max_{S: i in S} (v(S) - eta(S)) for an evaluated
+    eta, added in ints over the excess table's denominator."""
+    return _derived_lower(v, eta)
 
 
 def mu_from_upper(v: TUGame, eta_id: Union[str, "BoundFunctional"]) -> BoundVector:

@@ -11,11 +11,16 @@ all coalitions run on W (exact: they take sums, maxima, minima and
 comparisons, which commute with scaling) and divide by L at the end.  The
 games derived from a game (transform, subtract_allocation, dual,
 zero_normalise) are linear maps of W and are built as (L', W') with
-TUGame.from_scaled, with no Fraction per coalition.  _scale is the one
-step that finds a common denominator; when L would exceed SCALE_CAP it
-gives (1, the worths as Fractions) instead, and the same code runs on the
-Fractions.  TUGame.worths, the Fraction table, is a view built on first
-use.  There is no floating point here.
+TUGame.from_scaled, with no Fraction per coalition.  _denominator is the
+one step that finds a common denominator, for _scale and for the game
+file reader; when L would exceed SCALE_CAP, _scale gives (1, the worths
+as Fractions) instead, and the same code runs on the Fractions.
+TUGame.worths, the Fraction table, is a view built on first use.  There
+is no floating point here.
+
+The Kikuta and Milnor bounds of a game come from one sweep,
+_extreme_marginals: each player's marginal contributions are listed once,
+and the min and the max of that list are both kept in the game's memo.
 
 Vectors go through _scale too.  _common brings the n-vectors and scalars
 of one formula (mu, eta and v(N), say) to one common denominator; _total,
@@ -137,6 +142,16 @@ def as_fraction(x: RationalLike) -> Fraction:
     )
 
 
+def _ratio(x: RationalLike) -> Tuple[int, int]:
+    """x as the int pair (p, q) of as_integer_ratio: an int or a Fraction
+    directly, anything else through as_fraction and its refusals."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is not Fraction:
+        x = as_fraction(x)
+    return x.numerator, x.denominator
+
+
 def _check_int(x, what: str) -> None:
     if not isinstance(x, int):
         raise InvalidPlayerIndex(f"{what}, got the {type(x).__name__} {x!r:.40}")
@@ -239,17 +254,26 @@ def _check_table(n: int, L: int, W: tuple) -> None:
         raise NonzeroEmptyCoalition(f"v(empty) must be 0, got {Fraction(W[0], L)}")
 
 
-def _scale(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, list]:
-    """(L, [p * (L // q) for each pair]) for int pairs (p, q) with q > 0 and L
-    the least common multiple of the q; or (1, [Fraction(p, q) for each
-    pair]) once L would pass SCALE_CAP, so a hostile table never grows it
-    further.  The only code that finds a common denominator."""
+def _denominator(qs: Iterable[int]) -> int | None:
+    """The least common multiple of the positive ints qs, or None once it
+    would pass SCALE_CAP, so a hostile table never grows it further.  The
+    only code that finds a common denominator."""
     L = 1
-    for q in {q for _, q in pairs}:
+    for q in set(qs):
         if L % q:
             L = lcm(L, q)
             if L > SCALE_CAP:
-                return 1, [Fraction(p, q) for p, q in pairs]
+                return None
+    return L
+
+
+def _scale(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, list]:
+    """(L, [p * (L // q) for each pair]) for int pairs (p, q) with q > 0 and L
+    the _denominator of the q; or (1, [Fraction(p, q) for each pair]) past
+    SCALE_CAP."""
+    L = _denominator(q for _, q in pairs)
+    if L is None:
+        return 1, [Fraction(p, q) for p, q in pairs]
     return L, [p * (L // q) for p, q in pairs]
 
 
@@ -304,16 +328,19 @@ class TUGame:
     no Fraction per coalition.  ==, hash and pickling work on (n, scaled),
     which is reduced, so equal games compare equal however they were built.
 
+    The constructor takes int worths and Fractions straight to their int
+    pairs, with no Fraction per coalition; other inputs go through
+    as_fraction.
+
     Instances are immutable and safe to share across threads.  Besides the
     state, a game carries caches of what is derived from it: worths, the
-    Fraction table, a view of scaled built on first use (the constructor
-    keeps the table it was given); total, v(N); the singleton worths and the
-    marginal vector; and memo, which holds each bound vector, named value,
-    shifted game and class verdict the first time it is computed (see
-    remember and in_class).  Every entry is a pure function of the state, so
-    two threads filling one entry at once both compute the same result and
-    either write leaves it correct.  The caches take no part in ==, hash or
-    pickling.
+    Fraction table, a view of scaled built on first use; total, v(N); the
+    singleton worths and the marginal vector; and memo, which holds each
+    bound vector, named value, shifted game and class verdict the first
+    time it is computed (see remember and in_class).  Every entry is a pure
+    function of the state, so two threads filling one entry at once both
+    compute the same result and either write leaves it correct.  The caches
+    take no part in ==, hash or pickling.
     """
 
     n: int
@@ -327,11 +354,10 @@ class TUGame:
         labels: Sequence[str] | None = None,
     ) -> None:
         _check_players(n)
-        table = tuple(map(as_fraction, worths))
-        _check_table(n, 1, table)
-        L, W = _scale([(w.numerator, w.denominator) for w in table])
-        self._set(n, (L, tuple(W)), labels)
-        self.__dict__["worths"] = table
+        L, W = _scale(list(map(_ratio, worths)))
+        W = tuple(W)
+        _check_table(n, L, W)
+        self._set(n, (L, W), labels)
 
     @classmethod
     def from_scaled(
@@ -416,7 +442,8 @@ class TUGame:
         """Results derived from this game, keyed by what derived them: a bound
         functional (by identity), ("shifted", functional), ("mu_from_upper",
         eta) for an upper bound vector eta some functional gave on this game,
-        a value name, or ("class", name) for each name of CLASSES decided so
+        "extreme marginals" for the Kikuta and Milnor vectors of one sweep, a
+        value name, or ("class", name) for each name of CLASSES decided so
         far.  Keys never come from caller-supplied vectors, so the memo is
         bounded by the functionals, values and classes in the program."""
         return {}
@@ -603,16 +630,38 @@ def _max_excess(v: TUGame, x: Sequence[RationalLike]) -> Fraction:
     return Fraction(max(islice(e, 1, None)), L)
 
 
-def _max_excess_containing(v: TUGame, x: Sequence[RationalLike]) -> Allocation:
-    """For each player i, max of v(S) - x(S) over the S that contain i."""
+def _derived_lower(v: TUGame, x: Sequence[RationalLike]) -> Allocation:
+    """mu^x: for each player i, x_i plus the max of v(S) - x(S) over the S
+    that contain i.
+
+    With e the excess table over its denominator L and v({i}) = W_i / K on
+    the game's own denominator, L * x_i = L * v({i}) - e({i}), so mu^x_i =
+    ((m_i - e({i})) * K + W_i * L) / (L * K) for m_i the max of e over the S
+    containing i: one Fraction per component.
+    """
     L, e = excess_table(v, x)
-    return tuple(Fraction(max(halves(e, i)[0]), L) for i in range(v.n))
+    K, W = v.scaled
+    return tuple(
+        Fraction((max(halves(e, i)[0]) - e[1 << i]) * K + W[1 << i] * L, L * K)
+        for i in range(v.n)
+    )
 
 
-def _extreme_marginals(v: TUGame, pick) -> Allocation:
-    """Per player i, pick (min or max) of v(S) - v(S-i) over the S containing i."""
-    L, W = v.scaled
-    return tuple(Fraction(pick(map(sub, *halves(W, i))), L) for i in range(v.n))
+def _extreme_marginals(v: TUGame) -> Tuple[Allocation, Allocation]:
+    """(Kikuta, Milnor): per player i, the min and the max of v(S) - v(S-i)
+    over the S containing i, both from one marginal list per player.  Kept
+    in v.memo, so the two bounds of a game share one sweep."""
+
+    def sweep() -> Tuple[Allocation, Allocation]:
+        L, W = v.scaled
+        lows, highs = [], []
+        for i in range(v.n):
+            marginal = list(map(sub, *halves(W, i)))
+            lows.append(Fraction(min(marginal), L))
+            highs.append(Fraction(max(marginal), L))
+        return tuple(lows), tuple(highs)
+
+    return v.remember("extreme marginals", sweep)
 
 
 def _marginal_pass(v: TUGame) -> Tuple[bool, bool]:

@@ -87,19 +87,26 @@ class ValueResult:
 
 
 def _mix(
-    v: TUGame, mu: BoundVector, eta: BoundVector, value_id: str, route: str | None = None
+    v: TUGame,
+    mu: BoundVector,
+    eta: BoundVector,
+    value_id: str,
+    route: str | None = None,
+    scaled: Tuple[int, list] | None = None,
 ) -> ValueResult:
     """The efficient point mu + lam * (eta - mu); no weight when mu = eta.
 
     With mu, eta and v(N) over one common denominator L as the ints M, E
     and V, lam = num / den for num = V - sum(M) and den = sum(E) - sum(M),
     and alloc_i = (M_i * den + num * (E_i - M_i)) / (L * den): the n + 1
-    Fractions of the result are the only ones built.  Callers guard their
-    own domain; this only needs sum(eta) != sum(mu) whenever mu != eta.
+    Fractions of the result are the only ones built.  scaled is (L, (M, E,
+    (V,))) as _common gives it, when the caller has it already.  Callers
+    guard their own domain; this only needs sum(eta) != sum(mu) whenever
+    mu != eta.
     """
     if mu == eta:
         return ValueResult(value_id, mu, None, mu, eta, route)
-    L, (M, E, (V,)) = _common(mu, eta, (v.total,))
+    L, (M, E, (V,)) = scaled or _common(mu, eta, (v.total,))
     s_mu = sum(M)
     num, den = V - s_mu, sum(E) - s_mu
     scale = L * den
@@ -129,7 +136,8 @@ def compromise(
     """
     mu = _as_vector(mu, v.n, "lower bound")
     eta = _as_vector(eta, v.n, "upper bound")
-    L, (M, E, (V,)) = _common(mu, eta, (v.total,))
+    scaled = _common(mu, eta, (v.total,))
+    L, (M, E, (V,)) = scaled
     for i in range(v.n):
         if M[i] > E[i]:
             raise BoundOrderViolated(
@@ -142,7 +150,7 @@ def compromise(
             f"v(N) = {v.total} is outside the bound bracket "
             f"[{Fraction(s_mu, L)}, {Fraction(s_eta, L)}]"
         )
-    return _mix(v, mu, eta, value_id, route)
+    return _mix(v, mu, eta, value_id, route, scaled)
 
 
 def lbc_value(

@@ -257,6 +257,7 @@ DENSE8 = str(GOLDEN / "dense8_game.json")
 # v(S) = 1 iff |S| >= 3: monotonic and superadditive, not convex.
 MAJORITY5 = str(GOLDEN / "majority5_game.json")
 FERMAT3 = str(GOLDEN / "fermat3_game.json")
+MIXED6 = str(GOLDEN / "mixed6_game.json")
 REJECTION_FILTERS = (
     "zero-normalised", "essential", "weakly-essential", "semi-balanced", "M-lower",
     "M-upper",
@@ -330,6 +331,10 @@ REJECTION_FILTERS = (
              "--format", "json"],
             "check_sample_n5_seed1.json",
         ),
+        # Integer, "p/q", decimal and exponent spellings, JSON ints and JSON
+        # numbers in one table: the per-literal reader, where dense8 takes the
+        # bulk one.
+        (["report", "--game", MIXED6, "--format", "json"], "mixed6_report.json"),
     ],
 )
 def test_output_matches_golden(argv, golden, capsys):

@@ -63,6 +63,25 @@ def test_tugame_coerces_and_exposes():
     assert worth(v, 0b10) == Fraction(3, 2)
 
 
+def test_int_and_fraction_worths_build_no_fraction(monkeypatch):
+    ints = [S.bit_count() ** 2 for S in range(1 << 6)]
+    fractions = [Fraction(w, 6) for w in ints]
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    by_int, by_fraction = TUGame(6, ints), TUGame(6, fractions)
+    assert not made
+    assert by_int.scaled == (1, tuple(ints))
+    assert by_fraction.scaled == (6, tuple(ints))
+    assert by_fraction == TUGame(6, map(str, fractions))
+    assert by_int.worths == tuple(ints)
+
+
 def test_player_cap_env(monkeypatch):
     monkeypatch.setenv("COOPVALS_MAX_PLAYERS", "4")
     assert player_cap() == 4

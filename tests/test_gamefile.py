@@ -409,3 +409,109 @@ def test_report_on_any_file_exits_0_1_or_2(tmp_path_factory, text):
         assert (code, out.getvalue(), err.getvalue()) == (1, f"{expected}\n", "")
     else:
         assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {expected}\n")
+
+
+# ----- the bulk reader against the per-literal one ---------------------------
+
+# JSON number tokens, with or without a fraction and an exponent.
+_JSON_NUMBERS = st.builds(
+    lambda sign, whole, decimals, exponent: Raw(f"{sign}{whole}{decimals}{exponent}"),
+    st.sampled_from(["", "-"]),
+    st.integers(0, 10**6),
+    st.one_of(st.just(""), _DIGITS.map(lambda d: "." + d)),
+    st.one_of(st.just(""), _EXPONENTS),
+)
+# What the bulk reader takes: JSON ints, and integer and "p/q" strings.
+_PLAIN_WORTHS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.builds(lambda s, p: s + p, _SIGNS, _DIGITS),
+    st.builds(lambda s, p, q: f"{s}{p}/{q}", _SIGNS, _DIGITS, _DENOMINATORS),
+)
+_MIXED_WORTHS = st.one_of(_PLAIN_WORTHS, _GRAMMAR_LITERALS, _JSON_NUMBERS)
+_PLAIN_ZEROS = st.sampled_from([0, "0", "-0", "+0/7"])
+_ZEROS = _PLAIN_ZEROS | st.sampled_from(["0.0", "0e5", Raw("0.0"), Raw("-0e3")])
+
+
+def _value(x) -> Fraction:
+    """What a JSON int, string or Raw number token spells."""
+    return Fraction(x if isinstance(x, str) else str(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    plain=st.booleans(),
+    dense=st.booleans(),
+    data=st.data(),
+)
+def test_a_table_reads_as_the_fraction_of_each_literal(n, plain, dense, data):
+    worths = _PLAIN_WORTHS if plain else _MIXED_WORTHS
+    expected = [Fraction(0)] * (1 << n)
+    if dense:
+        zero = data.draw(_PLAIN_ZEROS if plain else _ZEROS)
+        values = [zero] + [data.draw(worths) for _ in range((1 << n) - 1)]
+        expected = list(map(_value, values))
+        table = ("worths_by_mask", values)
+    else:
+        masks = data.draw(st.permutations(range(1, 1 << n)))
+        masks = masks[: data.draw(st.integers(0, len(masks)))]
+        entries = []
+        for S in masks:
+            entries.append((
+                ",".join(str(i + 1) for i in range(n) if S >> i & 1), data.draw(worths)
+            ))
+            expected[S] = _value(entries[-1][1])
+        table = ("worths", Obj(entries))
+    v = parse_game_file(_dump(Obj([("players", n), table])))
+    assert v.worths == tuple(expected)
+    if plain and dense:  # read by the bulk reader, not the per-literal one
+        L, W = gamefile._plain_scaled(values)
+        assert [Fraction(w, L) for w in W] == expected
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ('"1/0"', "'1/0' is not a rational literal"),
+        ('"5/"', "'5/' is not a rational literal"),
+        ('"/5"', "'/5' is not a rational literal"),
+        ('"+"', "'+' is not a rational literal"),
+        ('"1/2/3"', "'1/2/3' is not a rational literal"),
+        ('"1/+2"', "'1/+2' is not a rational literal"),
+        ('"1-2"', "'1-2' is not a rational literal"),
+        ('" 1"', "' 1' is not a rational literal"),
+        ('"1_000"', "'1_000' is not a rational literal"),
+        ('"\u0661"', "'\u0661' is not a rational literal"),
+        ('"' + "9" * 1001 + '"', "literal longer than 1000 characters"),
+        ('"1e5000"', "literal longer than 1000 characters"),
+        ("true", "expected a rational, got a boolean"),
+        ("null", "expected a rational, got NoneType"),
+        ("[1]", "expected a rational, got list"),
+    ],
+)
+@pytest.mark.parametrize("dense", [True, False], ids=["worths_by_mask", "worths"])
+def test_the_first_bad_literal_of_a_plain_table_is_named(bad, message, dense):
+    # Every other literal is plain, and the one after the bad one is bad
+    # too, so the table goes to the bulk reader first; the error is the one
+    # the per-literal reader raises for the first bad literal.
+    literals = ['"1"', '"2/3"', "4", '"-5/6"', bad, '"abc"', '"7"']
+    if dense:
+        text = '{"players": 3, "worths_by_mask": [0, %s]}' % ", ".join(literals)
+        place = "worths_by_mask[5]"
+    else:
+        keys = ["1", "2", "3", "1,3", "1,2", "2,3", "1,2,3"]
+        body = ", ".join(f'"{k}": {w}' for k, w in zip(keys, literals))
+        text = '{"players": 3, "worths": {%s}}' % body
+        place = "worths['1,2']"
+    with pytest.raises(ParseError) as err:
+        parse_game_file(text)
+    assert str(err.value) == f"{place}: {message}"
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_a_canonical_file_reads_the_same_by_either_reader(n):
+    v = TUGame(n, [0] + [Fraction(S * S - 3, S % 7 + 1) for S in range(1, 1 << n)])
+    table = game_doc(v)["worths"]
+    assert gamefile._listed_by_mask(table, n) is not None
+    pairs = gamefile._sparse_pairs(table, n)
+    assert parse_game_file(serialise_game(v)) == v == TUGame(n, map(Fraction, *zip(*pairs)))

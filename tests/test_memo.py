@@ -32,9 +32,11 @@ from coopvals import (
     constant_lower,
     individual_worths,
     is_regular_lower,
+    kikuta_lower,
     is_strongly_upper_bounded,
     lbc_value,
     membership,
+    milnor_upper,
     run_suite_on_games,
     sample_games,
     subtract_allocation,
@@ -234,6 +236,28 @@ def test_only_classify_decides_superadditivity():
         assert not any(key in u.memo for u in sampled)
     assert classify(v).superadditive
     assert v.memo[key] is True
+
+
+def test_kikuta_and_milnor_come_from_one_marginal_sweep(monkeypatch):
+    # Each sweep lists every player's marginal contributions once, taking
+    # the two halves of the worth table for that player.
+    v = sample_games(SamplerConfig(n_min=5, n_max=5, count=1, seed=4))[0]
+    halved = []
+    original = game.halves
+
+    def counting(table, i):
+        halved.append(i)
+        return original(table, i)
+
+    monkeypatch.setattr(game, "halves", counting)
+    fresh = TUGame(v.n, v.worths)
+    low, high = kikuta_lower(fresh), milnor_upper(fresh)
+    assert halved == list(range(v.n))
+    assert REGISTRY["KikutaLower"](fresh) == low
+    assert REGISTRY["MilnorUpper"](fresh) == high
+    assert VALUES["km"](fresh).lower_used == low
+    assert halved == list(range(v.n))
+    assert (low, high) == (kikuta_lower(v), milnor_upper(v))
 
 
 GOLDEN = Path(__file__).parent / "golden"
