@@ -27,20 +27,26 @@ componentwise, (ii-a) mu(v - mu(v)) = 0, and (ii-b) eta(v - mu(v)) =
 eta(v) - mu(v), where v - x subtracts the additive game of x.
 
 A check reports a failure as data, a Witness: the first component where
-the condition fails, found by first_difference(lhs, rhs, holds).  Check
-results store only witnesses; passed and the property_*_holds flags are
+the condition fails, found by first_difference(lhs, rhs, holds), or by
+_witness on scaled pairs.  Check results store only witnesses; passed and the property_*_holds flags are
 read off them.
 
 Every sweep of the worth table runs in coopvals.game, in O(n * 2^n):
 _extreme_marginals, _derived_lower (mu^eta) and _max_excess (strong upper
-bounds, b-hat); this module reads no scaled state.  One _extreme_marginals
+bounds, b-hat); this module reads no scaled table.  One _extreme_marginals
 sweep per game gives both the Kikuta and the Milnor vector: each player's
 marginal contributions are listed once and their min and max both kept in
 the game's memo, so kikuta_lower and milnor_upper on one game cost one
 pass over the table.
-Sums of bound vectors and the componentwise formulas (eta^mu, mu~, eta -
-mu, fn(v) + x) go through the vector step there too: _total, _share and
-_affine, in ints over one common denominator.
+
+The functionals of this module evaluate to scaled pairs (L, X), as the
+game sweeps give them, and a BoundFunctional keeps that pair per game
+(fn._scaled(v)); fn(v) is its Fraction view, built once per game on first
+use.  Sums of bound vectors, the componentwise formulas (eta^mu, mu~, eta
+- mu, fn(v) + x) and every comparison of a check run on the pairs through
+the vector step of coopvals.game (_total, _share, _affine, _at_most,
+_first_failure), so a check builds Fractions only for the witness of a
+failure.
 """
 
 from __future__ import annotations
@@ -60,14 +66,19 @@ from .errors import (
 from .game import (
     TUGame,
     _affine,
+    _at_most,
     _derived_lower,
     _extreme_marginals,
+    _first_failure,
+    _fractions,
     _max_excess,
+    _ratio,
+    _Scaled,
+    _scaled_vector,
     _share,
     _total,
     as_fraction,
     in_class,
-    individual_worths,
     marginal_contributions,
     subtract_allocation,
     transform,
@@ -113,32 +124,32 @@ BoundVector = Tuple[Fraction, ...]
 def kikuta_lower(v: TUGame) -> BoundVector:
     """Per-player minimum marginal contribution over coalitions containing
     them, from the sweep that gives milnor_upper too."""
-    return _extreme_marginals(v)[0]
+    return REGISTRY["KikutaLower"](v)
 
 
 def milnor_upper(v: TUGame) -> BoundVector:
     """Per-player maximum marginal contribution over coalitions containing
     them, from the sweep that gives kikuta_lower too."""
-    return _extreme_marginals(v)[1]
+    return REGISTRY["MilnorUpper"](v)
 
 
 def zero_lower(v: TUGame) -> BoundVector:
-    return (Fraction(0),) * v.n
+    return REGISTRY["ZeroLower"](v)
 
 
 def eta_trivial(v: TUGame) -> BoundVector:
     """eta0_i(v) = v(N) for every player."""
-    return (v.total,) * v.n
+    return REGISTRY["EtaTrivial"](v)
 
 
 def eta_prime(v: TUGame) -> BoundVector:
     """eta'_i(v) = v(N) - sum_{j != i} v_j."""
-    return eta_from_lower(v, individual_worths(v))
+    return REGISTRY["EtaPrime"](v)
 
 
 def eta_from_m(v: TUGame) -> BoundVector:
     """etaM_i(v) = v(N) - sum_{j != i} M_j(v)."""
-    return eta_from_lower(v, marginal_contributions(v))
+    return REGISTRY["EtaFromM"](v)
 
 
 def eansc_tilde_lower(v: TUGame) -> BoundVector:
@@ -146,24 +157,32 @@ def eansc_tilde_lower(v: TUGame) -> BoundVector:
 
     Closed form: mu~_i = M_i(v) + (v(N) - sum_j M_j(v)) / (n - 1).
     """
+    return REGISTRY["EanscTildeLower"](v)
+
+
+def _eansc_tilde(v: TUGame) -> _Scaled:
     if v.n < 2:
         raise TooFewPlayers("the EANSC tilde lower bound needs n >= 2")
-    return _share(marginal_contributions(v), v.total, v.n - 1)
+    return _share(v._marginals, v._scaled_total, v.n - 1)
+
+
+def _eta_from(v: TUGame, mu: _Scaled) -> _Scaled:
+    # v(N) - (sum(mu) - mu_i) = mu_i + (v(N) - sum(mu)).
+    return _share(mu, v._scaled_total, 1)
 
 
 def eta_from_lower(v: TUGame, mu: Sequence[Fraction]) -> BoundVector:
     """The residual upper bound eta^mu_i(v) = v(N) - sum_{j != i} mu_j(v)."""
-    mu = tuple(map(as_fraction, mu))
-    if len(mu) != v.n:
-        raise CoopvalsError(f"lower bound must have {v.n} components, got {len(mu)}")
-    # v(N) - (sum(mu) - mu_i) = mu_i + (v(N) - sum(mu)).
-    return _share(mu, v.total, 1)
+    mu = _scaled_vector(mu)
+    if len(mu[1]) != v.n:
+        raise CoopvalsError(f"lower bound must have {v.n} components, got {len(mu[1])}")
+    return _fractions(_eta_from(v, mu))
 
 
 def mu_from_upper_vector(v: TUGame, eta: Sequence[Fraction]) -> BoundVector:
     """mu^eta_i = eta_i + max_{S: i in S} (v(S) - eta(S)) for an evaluated
     eta, added in ints over the excess table's denominator."""
-    return _derived_lower(v, eta)
+    return _fractions(_derived_lower(v, eta))
 
 
 def mu_from_upper(v: TUGame, eta_id: Union[str, "BoundFunctional"]) -> BoundVector:
@@ -172,21 +191,25 @@ def mu_from_upper(v: TUGame, eta_id: Union[str, "BoundFunctional"]) -> BoundVect
     R_i(S, v) = v(S) - sum_{j in S-i} eta_j(v), with S ranging over nonempty
     coalitions containing i, so mu^eta >= individual worths always, and
     mu^eta <= eta exactly when v(S) <= eta(S) for every S.  Requires a
-    translation covariant upper bound (the registry flag is checked).  Kept
-    in v.memo under ("mu_from_upper", fn(v)), so two functionals that give
-    one vector on v (M and Milnor on a convex game) share one sweep."""
-    fn = functional(eta_id)
+    translation covariant upper bound (the registry flag is checked)."""
+    return _fractions(_mu_from_upper(v, functional(eta_id)))
+
+
+def _mu_from_upper(v: TUGame, fn: "BoundFunctional") -> _Scaled:
+    """mu^eta as a pair, kept in v.memo under ("mu_from_upper", eta) for the
+    pair eta of fn on v, so two functionals that give one pair on v (M and
+    Milnor on a convex game) share one sweep."""
     if not fn.is_translation_covariant:
         raise NonCovariantUpperBound(
             f"{fn.id} is not translation covariant; cannot derive a lower bound"
         )
-    eta = fn(v)
-    return v.remember(("mu_from_upper", eta), lambda: mu_from_upper_vector(v, eta))
+    eta = fn._scaled(v)
+    return v.remember(("mu_from_upper", eta), lambda: _derived_lower(v, eta))
 
 
 def minimal_rights(v: TUGame) -> BoundVector:
     """The minimal rights vector: mu_from_upper with the marginal vector."""
-    return mu_from_upper(v, "MarginalContributions")
+    return REGISTRY["MinimalRights"](v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,26 +220,33 @@ class BoundFunctional:
     lower bound.  Covariance flags are set from proven claims and re-checked
     empirically by the test suite.
 
-    Call the functional, fn(v), rather than fn.evaluate(v): the call is
-    remembered in the game's memo.  Functionals compare and hash by
-    identity, so they key that memo even while evaluate is swapped in place
-    (as instrumentation does).
+    evaluate(v) gives the bound vector as rationals, or as its scaled pair
+    (L, X) as every functional of this module does.  Call the functional,
+    fn(v), rather than fn.evaluate(v): evaluate runs once per game, and its
+    pair is kept in the game's memo, with the Fractions of fn(v) built from
+    it on first use.  Functionals compare and hash by identity, so they key
+    that memo even while evaluate is swapped in place (as instrumentation
+    does).
     """
 
     id: str
-    evaluate: Callable[[TUGame], BoundVector]
+    evaluate: Callable[[TUGame], Union[BoundVector, _Scaled]]
     is_translation_covariant: bool
     is_regular_lower: bool | None = None
 
     def __call__(self, v: TUGame) -> BoundVector:
-        """evaluate(v), computed once per game."""
-        return v.remember(self, lambda: self.evaluate(v))
+        """evaluate(v) as Fractions, built once per game from its pair."""
+        return v.remember(("fractions", self), lambda: _fractions(self._scaled(v)))
+
+    def _scaled(self, v: TUGame) -> _Scaled:
+        """evaluate(v) as a scaled pair, computed once per game."""
+        return v.remember(self, lambda: _scaled_vector(self.evaluate(v)))
 
     def shifted(self, v: TUGame) -> TUGame:
         """The game v - self(v), built once per game; v itself when the
         vector is zero."""
-        x = self(v)
-        if not any(x):
+        x = self._scaled(v)
+        if not any(x[1]):
             return v
         return v.remember(("shifted", self), lambda: subtract_allocation(v, x))
 
@@ -224,11 +254,12 @@ class BoundFunctional:
 def constant_lower(value: int | Fraction = 1, id: str | None = None) -> BoundFunctional:
     """A constant lower bound.  Not regular unless the constant is zero."""
     c = as_fraction(value)
+    p, q = _ratio(c)
     return BoundFunctional(
         id=id or f"Constant({c})",
-        evaluate=lambda v: (c,) * v.n,
+        evaluate=lambda v: (q, (p,) * v.n),
         is_translation_covariant=False,
-        is_regular_lower=(c == 0),
+        is_regular_lower=(p == 0),
     )
 
 
@@ -237,7 +268,7 @@ def derived_upper_from_lower(mu_id: Union[str, BoundFunctional]) -> BoundFunctio
     fn = functional(mu_id)
     return BoundFunctional(
         id=f"EtaFrom({fn.id})",
-        evaluate=lambda v: eta_from_lower(v, fn(v)),
+        evaluate=lambda v: _eta_from(v, fn._scaled(v)),
         is_translation_covariant=fn.is_translation_covariant,
         is_regular_lower=None,
     )
@@ -255,25 +286,32 @@ def derived_lower_from_upper(eta_id: Union[str, BoundFunctional]) -> BoundFuncti
         )
     return BoundFunctional(
         id=f"MuFrom({fn.id})",
-        evaluate=lambda v: mu_from_upper(v, fn),
+        evaluate=lambda v: _mu_from_upper(v, fn),
         is_translation_covariant=True,
         is_regular_lower=True,
     )
 
 
+# Each evaluates to the pair of the public function of the same name above.
 REGISTRY: dict[str, BoundFunctional] = {
     fn.id: fn
     for fn in (
-        BoundFunctional("MarginalContributions", marginal_contributions, True, True),
-        BoundFunctional("MinimalRights", minimal_rights, True, True),
-        BoundFunctional("KikutaLower", kikuta_lower, True, True),
-        BoundFunctional("MilnorUpper", milnor_upper, True, None),
-        BoundFunctional("IndividualWorths", individual_worths, True, True),
-        BoundFunctional("ZeroLower", zero_lower, False, True),
-        BoundFunctional("EtaTrivial", eta_trivial, False, None),
-        BoundFunctional("EtaPrime", eta_prime, True, None),
-        BoundFunctional("EanscTildeLower", eansc_tilde_lower, True, True),
-        BoundFunctional("EtaFromM", eta_from_m, True, None),
+        BoundFunctional("MarginalContributions", lambda v: v._marginals, True, True),
+        BoundFunctional(
+            "MinimalRights",
+            lambda v: _mu_from_upper(v, REGISTRY["MarginalContributions"]),
+            True, True,
+        ),
+        BoundFunctional("KikutaLower", lambda v: _extreme_marginals(v)[0], True, True),
+        BoundFunctional("MilnorUpper", lambda v: _extreme_marginals(v)[1], True, None),
+        BoundFunctional("IndividualWorths", lambda v: v._singletons, True, True),
+        constant_lower(0, id="ZeroLower"),
+        BoundFunctional(
+            "EtaTrivial", lambda v: (v.scaled[0], (v.scaled[1][-1],) * v.n), False, None
+        ),
+        BoundFunctional("EtaPrime", lambda v: _eta_from(v, v._singletons), True, None),
+        BoundFunctional("EanscTildeLower", _eansc_tilde, True, True),
+        BoundFunctional("EtaFromM", lambda v: _eta_from(v, v._marginals), True, None),
         constant_lower(1, id="ConstantOne"),
     )
 }
@@ -314,10 +352,15 @@ def first_difference(
     """The first component i where holds(lhs[i], rhs[i]) fails, with both
     sides, or None when it holds everywhere.  The default asks lhs == rhs;
     holds=le asks lhs <= rhs."""
-    for i, (a, b) in enumerate(zip(lhs, rhs)):
-        if not holds(a, b):
-            return Witness(i, tuple(lhs), tuple(rhs))
-    return None
+    # Over L = 1, holds sees the components as given.
+    return _witness((1, tuple(lhs)), (1, tuple(rhs)), holds)
+
+
+def _witness(lhs: _Scaled, rhs: _Scaled, holds=eq) -> Witness | None:
+    """first_difference on two scaled pairs, compared by _first_failure,
+    with the Fractions of both sides built only for a failure."""
+    i = _first_failure(lhs, rhs, holds)
+    return None if i is None else Witness(i, _fractions(lhs), _fractions(rhs))
 
 
 @dataclass(frozen=True)
@@ -377,14 +420,14 @@ def check_bound_pair(
     Failures are reported as data with witnesses, not raised.
     """
     mu_fn, eta_fn = functional(mu_id), functional(eta_id)
-    mu, eta = mu_fn(v), eta_fn(v)
+    mu, eta = mu_fn._scaled(v), eta_fn._scaled(v)
     shifted = mu_fn.shifted(v)
     return BoundPairReport(
         mu_fn.id,
         eta_fn.id,
-        witness_i=first_difference(mu, eta, le),
-        witness_iia=first_difference(mu_fn(shifted), (Fraction(0),) * v.n),
-        witness_iib=first_difference(eta_fn(shifted), _affine(-1, mu, eta)),
+        witness_i=_witness(mu, eta, le),
+        witness_iia=_witness(mu_fn._scaled(shifted), (1, (0,) * v.n)),
+        witness_iib=_witness(eta_fn._scaled(shifted), _affine(-1, mu, eta)),
     )
 
 
@@ -393,11 +436,11 @@ def is_regular_lower(
 ) -> CheckOutcome:
     """Check mu(v - mu(v)) = 0 for a game in the lower-bound class of mu."""
     fn = functional(mu_id)
-    if _total(fn(v)) > v.total:
+    if not _at_most(_total(fn._scaled(v)), v._scaled_total):
         raise NotInClass(f"B_l({fn.id})")
-    zero = (Fraction(0),) * v.n
+    zero = (1, (0,) * v.n)
     return CheckOutcome(
-        f"regular_lower:{fn.id}", first_difference(fn(fn.shifted(v)), zero)
+        f"regular_lower:{fn.id}", _witness(fn._scaled(fn.shifted(v)), zero)
     )
 
 
@@ -406,13 +449,14 @@ def check_translation_covariance(
     v: TUGame,
     x: Sequence[Fraction],
 ) -> CheckOutcome:
-    """Check fn(v + x) = fn(v) + x exactly for the given probe x."""
+    """Check fn(v + x) = fn(v) + x exactly for the given probe x, a vector
+    of rationals or its scaled pair."""
     fn = functional(fn_id)
-    x = tuple(map(as_fraction, x))
-    lhs = fn(transform(v, 1, x))
+    x = _scaled_vector(x)
+    lhs = fn._scaled(transform(v, 1, x))
     return CheckOutcome(
         f"translation_covariance:{fn.id}",
-        first_difference(lhs, _affine(1, fn(v), x)),
+        _witness(lhs, _affine(1, fn._scaled(v), x)),
     )
 
 
@@ -435,7 +479,7 @@ class MembershipReport:
 
 def is_strongly_upper_bounded(v: TUGame, eta: Sequence[Fraction]) -> bool:
     """v(S) <= sum_{i in S} eta_i for every nonempty coalition S."""
-    return _max_excess(v, eta) <= 0
+    return _at_most(_max_excess(v, eta), (1, (0,)))
 
 
 def membership(
@@ -445,22 +489,22 @@ def membership(
 ) -> MembershipReport:
     """Exact enumeration of all class membership flags for the pair."""
     mu_fn, eta_fn = functional(mu_id), functional(eta_id)
-    mu, eta = mu_fn(v), eta_fn(v)
-    vN = v.total
-    in_lower = _total(mu) <= vN
-    in_balanced = in_lower and vN <= _total(eta)
+    mu, eta = mu_fn._scaled(v), eta_fn._scaled(v)
+    vN = v._scaled_total
+    in_lower = _at_most(_total(mu), vN)
+    in_balanced = in_lower and _at_most(vN, _total(eta))
     if eta_fn.is_translation_covariant:
-        derived = mu_from_upper(v, eta_fn)
-        in_strong = all(map(le, derived, eta))
-        in_proper: bool | None = in_strong and _total(derived) <= vN
+        derived = _mu_from_upper(v, eta_fn)
+        in_strong = _at_most(derived, eta)
+        in_proper: bool | None = in_strong and _at_most(_total(derived), vN)
     else:
         in_strong, in_proper = is_strongly_upper_bounded(v, eta), None
 
     # b_hat: v(S) - nu(S) <= (|S| - 1) * slack for nonempty S, with slack =
     # v(N) - sum(nu), that is, the excess of v over the vector nu + slack,
     # which is eta^nu, is at most -slack.
-    nu = individual_worths(v)
-    in_b_hat = _max_excess(v, eta_from_lower(v, nu)) <= _total(nu) - vN
+    nu = v._singletons
+    in_b_hat = _at_most(_max_excess(v, _eta_from(v, nu)), _affine(-1, vN, _total(nu)))
     return MembershipReport(
         in_balanced=in_balanced,
         in_lower_class=in_lower,

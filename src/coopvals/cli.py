@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from . import bounds, values, verify
 from .errors import CoopvalsError, DomainError
-from .game import classify
+from .game import _fractions, _total, classify
 from .gamefile import game_doc, parse_game_file
 
 # `bounds --pair`: the pairs values declares; for eansc, its (mu~, M) route.
@@ -171,6 +171,7 @@ def cmd_bounds(args) -> int:
     mu_id, eta_id = PAIR_MAP[args.pair]
     mu_fn, eta_fn = bounds.functional(mu_id), bounds.functional(eta_id)
     mu, eta = mu_fn(v), eta_fn(v)
+    (sum_mu,), (sum_eta,) = (_fractions(_total(f._scaled(v))) for f in (mu_fn, eta_fn))
     membership = bounds.membership(v, mu_fn, eta_fn)
     # The MembershipReport fields, named once for both formats.
     flags = {k.removeprefix("in_"): x for k, x in asdict(membership).items()}
@@ -182,8 +183,8 @@ def cmd_bounds(args) -> int:
             "eta_id": eta_fn.id,
             "mu": _json_vec(mu),
             "eta": _json_vec(eta),
-            "sum_mu": str(sum(mu)),
-            "sum_eta": str(sum(eta)),
+            "sum_mu": str(sum_mu),
+            "sum_eta": str(sum_eta),
             "total": str(v.total),
             **flags,
         }
@@ -193,8 +194,8 @@ def cmd_bounds(args) -> int:
     print(f"pair: {args.pair} ({mu_fn.id}, {eta_fn.id})")
     print(f"mu: {_vec(mu)} (approx {_approx(mu)})")
     print(f"eta: {_vec(eta)} (approx {_approx(eta)})")
-    print(f"sum_mu: {sum(mu)}")
-    print(f"sum_eta: {sum(eta)}")
+    print(f"sum_mu: {sum_mu}")
+    print(f"sum_eta: {sum_eta}")
     print(f"v(N): {v.total}")
     for name, flag in flags.items():
         print(f"{name}: {_bool(flag)}")

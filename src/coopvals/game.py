@@ -22,11 +22,16 @@ The Kikuta and Milnor bounds of a game come from one sweep,
 _extreme_marginals: each player's marginal contributions are listed once,
 and the min and the max of that list are both kept in the game's memo.
 
-Vectors go through _scale too.  _common brings the n-vectors and scalars
-of one formula (mu, eta and v(N), say) to one common denominator; _total,
-_affine and _share, and the compromise point of values._mix, add, shift
-and mix those ints and build one Fraction per output component, not one
-per intermediate sum.
+Vectors are scaled the same way.  A scaled vector is a pair (L, X) of a
+positive int L and a tuple X with X[i] = L * x_i, as ints, or (1, the
+Fractions) past SCALE_CAP; a scalar is a pair with a 1-tuple.  The sweeps
+give their vectors as pairs (the singleton and marginal vectors, v(N),
+Kikuta and Milnor, mu^x), _total, _affine and _share add, shift and
+spread pairs into pairs, and _common brings the pairs of one formula to
+the lcm of their L.  Comparisons (_first_failure, _at_most) run on the
+ints, so a Fraction is built only where a caller asks for one
+(_fractions): a public bound vector, a value's allocation, a witness.
+_scaled_vector takes a vector of rationals from a caller to its pair.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
 from math import gcd, lcm
-from operator import add, ge, mul, sub
+from operator import add, eq, ge, le, mul, sub
 from typing import (
     Callable, Hashable, Iterable, Mapping, Sequence, Tuple, TypeVar, Union,
 )
@@ -96,6 +101,8 @@ SCALE_CAP = 1 << 256
 # Inputs accepted wherever a rational number is expected.
 RationalLike = Union[Fraction, int, str]
 Allocation = Tuple[Fraction, ...]
+# A scaled vector (L, X): x_i = X[i] / L.
+_Scaled = Tuple[int, tuple]
 T = TypeVar("T")
 
 _NOT_A_PATTERN = "a coalition is an int bit pattern"
@@ -277,43 +284,81 @@ def _scale(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, list]:
     return L, [p * (L // q) for p, q in pairs]
 
 
-def _common(*parts: Sequence[Fraction]) -> Tuple[int, list]:
-    """(L, [[L * c for c in part] for part in parts]) as ints, for L the
-    common denominator of every component of every part; (1, the parts as
-    Fractions) past SCALE_CAP, as _scale gives.  A scalar is passed as a
-    1-tuple.  The vector formulas below, and those of bounds, values and
-    verify, add, shift and mix these ints and build one Fraction per
-    output component."""
-    L, flat = _scale([c.as_integer_ratio() for part in parts for c in part])
-    out, start = [], 0
-    for part in parts:
-        out.append(flat[start:start + len(part)])
-        start += len(part)
+def _scaled_vector(x: Union[_Scaled, Sequence[RationalLike]]) -> _Scaled:
+    """x as a scaled pair: a pair (L, X) as given, and a sequence of
+    rationals over the common denominator of its components, through
+    _ratio and _scale.  A pair is told from a vector by its tuple X, which
+    no rational is."""
+    if type(x) is tuple and len(x) == 2 and type(x[1]) is tuple:
+        return x
+    L, X = _scale(list(map(_ratio, x)))
+    return L, tuple(X)
+
+
+def _fractions(x: _Scaled) -> Allocation:
+    """The Fractions X[i] / L of a scaled pair."""
+    L, X = x
+    return tuple(Fraction(c, L) for c in X)
+
+
+def _common(*parts: _Scaled) -> Tuple[int, list]:
+    """(L, [X * (L // K) for each pair (K, X)]) for L the lcm of the K, each
+    part a tuple; (1, the parts as Fractions) past SCALE_CAP.  A part
+    already over L is given back as it is, so pairs over one K are only
+    unpacked."""
+    denominators = {K for K, _ in parts}
+    if len(denominators) == 1:
+        return parts[0][0], [X for _, X in parts]
+    L = _denominator(denominators)
+    if L is None:
+        return 1, [tuple(Fraction(c, K) for c in X) for K, X in parts]
+    out = []
+    for K, X in parts:
+        if K != L:
+            factor = L // K
+            X = tuple([c * factor for c in X])
+        out.append(X)
     return L, out
 
 
-def _total(x: Sequence[Fraction]) -> Fraction:
-    """sum(x), added in ints over one common denominator."""
-    L, (X,) = _common(x)
-    return Fraction(sum(X), L)
+def _first_failure(
+    x: _Scaled, y: _Scaled, holds: Callable[[int, int], bool] = eq
+) -> int | None:
+    """The first i where holds(x_i, y_i) fails, compared in ints over the
+    common denominator of two pairs, or None.  holds must not change under
+    scaling both sides by one positive int, as ==, <= and >= do not."""
+    _, (X, Y) = _common(x, y)
+    for i, (a, b) in enumerate(zip(X, Y)):
+        if not holds(a, b):
+            return i
+    return None
 
 
-def _affine(
-    scale: Union[Fraction, int], x: Sequence[Fraction], shift: Sequence[Fraction]
-) -> Allocation:
+def _at_most(x: _Scaled, y: _Scaled) -> bool:
+    """x <= y componentwise, for two pairs."""
+    return _first_failure(x, y, le) is None
+
+
+def _total(x: _Scaled) -> _Scaled:
+    """sum(x) as the scalar pair (L, (sum(X),))."""
+    L, X = x
+    return L, (sum(X),)
+
+
+def _affine(scale: Union[Fraction, int], x: _Scaled, shift: _Scaled) -> _Scaled:
     """scale * x_i + shift_i for each i: with scale = p / q, the ints
     p * X_i + q * Y_i over q * L."""
     p, q = scale.numerator, scale.denominator
     L, (X, Y) = _common(x, shift)
-    return tuple(Fraction(p * a + q * b, q * L) for a, b in zip(X, Y))
+    return q * L, tuple(p * a + q * b for a, b in zip(X, Y))
 
 
-def _share(x: Sequence[Fraction], total: Fraction, k: int) -> Allocation:
+def _share(x: _Scaled, total: _Scaled, k: int) -> _Scaled:
     """x_i + (total - sum(x)) / k for each i: x plus a k-th of what it
     leaves of total, as the ints k * X_i + rest over k * L."""
-    L, (X, (V,)) = _common(x, (total,))
+    L, (X, (V,)) = _common(x, total)
     rest = V - sum(X)
-    return tuple(Fraction(k * c + rest, k * L) for c in X)
+    return k * L, tuple(k * c + rest for c in X)
 
 
 @dataclass(frozen=True, init=False)
@@ -335,9 +380,10 @@ class TUGame:
     Instances are immutable and safe to share across threads.  Besides the
     state, a game carries caches of what is derived from it: worths, the
     Fraction table, a view of scaled built on first use; total, v(N); the
-    singleton worths and the marginal vector; and memo, which holds each
-    bound vector, named value, shifted game and class verdict the first
-    time it is computed (see remember and in_class).  Every entry is a pure
+    scaled pairs of v(N), the singleton worths and the marginal vector;
+    and memo, which holds each bound vector, named value, shifted game and
+    class verdict the first time it is computed (see remember and
+    in_class).  Every entry is a pure
     function of the state, so two threads filling one entry at once both
     compute the same result and either write leaves it correct.  The caches
     take no part in ==, hash or pickling.
@@ -419,14 +465,20 @@ class TUGame:
         return self.worth(self.grand)
 
     @cached_property
-    def _singletons(self) -> Allocation:
-        return tuple(self.worth(1 << i) for i in range(self.n))
+    def _scaled_total(self) -> _Scaled:
+        L, W = self.scaled
+        return L, (W[-1],)
 
     @cached_property
-    def _marginals(self) -> Allocation:
+    def _singletons(self) -> _Scaled:
+        L, W = self.scaled
+        return L, tuple(W[1 << i] for i in range(self.n))
+
+    @cached_property
+    def _marginals(self) -> _Scaled:
         L, W = self.scaled
         top, full = W[-1], self.grand
-        return tuple(Fraction(top - W[full ^ (1 << i)], L) for i in range(self.n))
+        return L, tuple(top - W[full ^ (1 << i)] for i in range(self.n))
 
     def worth(self, S: int) -> Fraction:
         _check_coalition(S, self.n)
@@ -440,12 +492,14 @@ class TUGame:
     @cached_property
     def memo(self) -> dict:
         """Results derived from this game, keyed by what derived them: a bound
-        functional (by identity), ("shifted", functional), ("mu_from_upper",
-        eta) for an upper bound vector eta some functional gave on this game,
-        "extreme marginals" for the Kikuta and Milnor vectors of one sweep, a
-        value name, or ("class", name) for each name of CLASSES decided so
-        far.  Keys never come from caller-supplied vectors, so the memo is
-        bounded by the functionals, values and classes in the program."""
+        functional (by identity) for its scaled pair, ("fractions",
+        functional) for its Fractions, ("shifted", functional),
+        ("mu_from_upper", eta) for the scaled pair eta of an upper bound some
+        functional gave on this game, "extreme marginals" for the Kikuta and
+        Milnor pairs of one sweep, a value name, or ("class", name) for each
+        name of CLASSES decided so far.  Keys never come from
+        caller-supplied vectors, so the memo is bounded by the functionals,
+        values and classes in the program."""
         return {}
 
     def remember(self, key: Hashable, compute: Callable[[], T]) -> T:
@@ -463,17 +517,18 @@ def _from_pairs(n: int, pairs: Sequence[Tuple[int, int]], labels=None) -> TUGame
     return TUGame.from_scaled(n, *_scale(pairs), labels)
 
 
-def scaled_with(v: TUGame, x: Sequence[RationalLike]) -> Tuple[int, Sequence, list]:
+def scaled_with(
+    v: TUGame, x: Union[_Scaled, Sequence[RationalLike]]
+) -> Tuple[int, Sequence, Sequence]:
     """(L, L*v, L*x) as in TUGame.scaled, for L the common denominator of the
-    game and the n-vector x; (1, v, x) as Fractions when L would exceed
-    SCALE_CAP."""
+    game and the n-vector x, given as rationals or as a scaled pair; (1, v,
+    x) as Fractions when L would exceed SCALE_CAP."""
     L, W = v.scaled
-    x = list(map(as_fraction, x))
-    if len(x) != v.n:
-        raise CoopvalsError(f"vector must have {v.n} components, got {len(x)}")
+    x = _scaled_vector(x)
+    if len(x[1]) != v.n:
+        raise CoopvalsError(f"vector must have {v.n} components, got {len(x[1])}")
     # A game held as Fractions has L = 1, so its table only meets the factor.
-    pairs = [(1, L)] + [(c.numerator, c.denominator) for c in x]
-    common, (factor, *X) = _scale(pairs)
+    common, ((factor,), X) = _common((L, (1,)), x)
     if factor != 1:
         W = [w * factor for w in W]
     return common, W, X
@@ -559,26 +614,27 @@ def dual(v: TUGame) -> TUGame:
 
 def individual_worths(v: TUGame) -> Allocation:
     """The vector of singleton worths (v_1, ..., v_n)."""
-    return v._singletons
+    return _fractions(v._singletons)
 
 
 def marginal_contributions(v: TUGame) -> Allocation:
     """M_i(v) = v(N) - v(N-i)."""
-    return v._marginals
+    return _fractions(v._marginals)
 
 
 def zero_normalise(v: TUGame) -> TUGame:
     """Subtract each member's singleton worth from every coalition."""
-    return subtract_allocation(v, individual_worths(v))
+    return subtract_allocation(v, v._singletons)
 
 
-def transform(v: TUGame, scale: RationalLike, shift: Sequence[RationalLike]) -> TUGame:
+def transform(
+    v: TUGame, scale: RationalLike, shift: Union[_Scaled, Sequence[RationalLike]]
+) -> TUGame:
     """The covariance transform: (scale * v + shift)(S) = scale*v(S) + shift(S)."""
-    scale = as_fraction(scale)
-    if scale <= 0:
-        raise NonPositiveScale(f"scale must be positive, got {scale}")
     # With scale = p / q: (p * L*v + q * L*shift) / (q * L).
-    p, q = scale.numerator, scale.denominator
+    p, q = _ratio(scale)
+    if p <= 0:
+        raise NonPositiveScale(f"scale must be positive, got {Fraction(p, q)}")
     L, W, X = scaled_with(v, shift)
     shifts = additive_table(X)
     if p != 1:
@@ -588,7 +644,7 @@ def transform(v: TUGame, scale: RationalLike, shift: Sequence[RationalLike]) -> 
     return TUGame.from_scaled(v.n, q * L, list(map(add, W, shifts)), v.labels)
 
 
-def subtract_allocation(v: TUGame, x: Sequence[RationalLike]) -> TUGame:
+def subtract_allocation(v: TUGame, x: Union[_Scaled, Sequence[RationalLike]]) -> TUGame:
     """The shifted game (v - x)(S) = v(S) - x(S)."""
     return TUGame.from_scaled(v.n, *excess_table(v, x), v.labels)
 
@@ -617,49 +673,50 @@ def unanimity_game(n: int, T: int) -> TUGame:
     return TUGame.from_scaled(n, 1, [int(S & T == T) for S in range(1 << n)])
 
 
-def excess_table(v: TUGame, x: Sequence[RationalLike]) -> Tuple[int, list]:
+def excess_table(
+    v: TUGame, x: Union[_Scaled, Sequence[RationalLike]]
+) -> Tuple[int, list]:
     """(L, e) with e[S] = L * (v(S) - x(S)) for every coalition S, for a
     common denominator L of the game and x as in scaled_with."""
     L, W, X = scaled_with(v, x)
     return L, list(map(sub, W, additive_table(X)))
 
 
-def _max_excess(v: TUGame, x: Sequence[RationalLike]) -> Fraction:
-    """max of v(S) - x(S) over the nonempty coalitions S."""
+def _max_excess(v: TUGame, x: _Scaled) -> _Scaled:
+    """max of v(S) - x(S) over the nonempty coalitions S, as a scalar pair."""
     L, e = excess_table(v, x)
-    return Fraction(max(islice(e, 1, None)), L)
+    return L, (max(islice(e, 1, None)),)
 
 
-def _derived_lower(v: TUGame, x: Sequence[RationalLike]) -> Allocation:
+def _derived_lower(v: TUGame, x: _Scaled) -> _Scaled:
     """mu^x: for each player i, x_i plus the max of v(S) - x(S) over the S
     that contain i.
 
     With e the excess table over its denominator L and v({i}) = W_i / K on
     the game's own denominator, L * x_i = L * v({i}) - e({i}), so mu^x_i =
     ((m_i - e({i})) * K + W_i * L) / (L * K) for m_i the max of e over the S
-    containing i: one Fraction per component.
+    containing i.
     """
     L, e = excess_table(v, x)
     K, W = v.scaled
-    return tuple(
-        Fraction((max(halves(e, i)[0]) - e[1 << i]) * K + W[1 << i] * L, L * K)
-        for i in range(v.n)
+    return L * K, tuple(
+        (max(halves(e, i)[0]) - e[1 << i]) * K + W[1 << i] * L for i in range(v.n)
     )
 
 
-def _extreme_marginals(v: TUGame) -> Tuple[Allocation, Allocation]:
-    """(Kikuta, Milnor): per player i, the min and the max of v(S) - v(S-i)
-    over the S containing i, both from one marginal list per player.  Kept
-    in v.memo, so the two bounds of a game share one sweep."""
+def _extreme_marginals(v: TUGame) -> Tuple[_Scaled, _Scaled]:
+    """(Kikuta, Milnor) as pairs: per player i, the min and the max of v(S)
+    - v(S-i) over the S containing i, both from one marginal list per
+    player.  Kept in v.memo, so the two bounds of a game share one sweep."""
 
-    def sweep() -> Tuple[Allocation, Allocation]:
+    def sweep() -> Tuple[_Scaled, _Scaled]:
         L, W = v.scaled
         lows, highs = [], []
         for i in range(v.n):
             marginal = list(map(sub, *halves(W, i)))
-            lows.append(Fraction(min(marginal), L))
-            highs.append(Fraction(max(marginal), L))
-        return tuple(lows), tuple(highs)
+            lows.append(min(marginal))
+            highs.append(max(marginal))
+        return (L, tuple(lows)), (L, tuple(highs))
 
     return v.remember("extreme marginals", sweep)
 
@@ -710,10 +767,10 @@ _CLASS_TESTS: dict[str, Callable[[TUGame], bool]] = {
     "superadditive": _superadditive,
     "convex": lambda v: _marginal_pass(v)[1],
     "essential": lambda v: in_class(v, "weakly-essential") and in_class(v, "M-upper"),
-    "weakly-essential": lambda v: _total(individual_worths(v)) <= v.total,
-    "semi-balanced": lambda v: _max_excess(v, marginal_contributions(v)) <= 0,
-    "M-lower": lambda v: v.total >= _total(marginal_contributions(v)),
-    "M-upper": lambda v: v.total <= _total(marginal_contributions(v)),
+    "weakly-essential": lambda v: _at_most(_total(v._singletons), v._scaled_total),
+    "semi-balanced": lambda v: _at_most(_max_excess(v, v._marginals), (1, (0,))),
+    "M-lower": lambda v: _at_most(_total(v._marginals), v._scaled_total),
+    "M-upper": lambda v: _at_most(v._scaled_total, _total(v._marginals)),
 }
 
 

@@ -19,8 +19,11 @@ used and its class guard failures as NotInClass errors.
 
 The functions here only compute: they guard their inputs and trust the
 registry flags, and each named value is computed once per game and read
-back from the game's memo after that.  Every weight and allocation is
-formed by one step, _mix; a ValueResult stores its fields as given.  The
+back from the game's memo after that.  Bound vectors come in as the scaled
+pairs (L, X) of their functionals, and the guards compare those ints.
+Every weight and allocation is formed by one step, _mix, which also keeps
+the allocation's pair for the verification suite; a ValueResult stores
+its fields as given.  The
 identities that tie the named formulas to the engine (the mixture
 identity, closed forms, agreeing routes) are checked by the test suite and
 by the verification suite in coopvals.verify, not on every call.
@@ -28,10 +31,9 @@ by the verification suite in coopvals.verify, not on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from operator import gt
 from typing import Callable, Sequence, Tuple, Union
 
 from . import bounds
@@ -44,7 +46,16 @@ from .errors import (
     NotInClass,
     NotRegularLowerBound,
 )
-from .game import TUGame, _common, _total, as_fraction, in_class, individual_worths
+from .game import (
+    TUGame,
+    _at_most,
+    _common,
+    _fractions,
+    _Scaled,
+    _scaled_vector,
+    _total,
+    in_class,
+)
 
 __all__ = [
     "ValueResult",
@@ -75,7 +86,9 @@ class ValueResult:
     allocation = lower_used + lam * (upper_used - lower_used), and the test
     suite checks that identity.  The engine guarantees efficiency and
     bracketing for results it produces; PANSC outside its bracket reports
-    lam > 1 (see pansc).
+    lam > 1 (see pansc).  _scaled is the allocation as the scaled pair
+    _mix formed it in, for the verification suite, and None for a result
+    built any other way (replace() included); it takes no part in ==.
     """
 
     value_id: str
@@ -84,40 +97,52 @@ class ValueResult:
     lower_used: Tuple[Fraction, ...]
     upper_used: Tuple[Fraction, ...]
     route: str | None = None
+    _scaled: _Scaled | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _mix(
     v: TUGame,
-    mu: BoundVector,
-    eta: BoundVector,
+    mu: Union[BoundVector, _Scaled],
+    eta: Union[BoundVector, _Scaled],
     value_id: str,
     route: str | None = None,
     scaled: Tuple[int, list] | None = None,
 ) -> ValueResult:
     """The efficient point mu + lam * (eta - mu); no weight when mu = eta.
 
-    With mu, eta and v(N) over one common denominator L as the ints M, E
-    and V, lam = num / den for num = V - sum(M) and den = sum(E) - sum(M),
-    and alloc_i = (M_i * den + num * (E_i - M_i)) / (L * den): the n + 1
-    Fractions of the result are the only ones built.  scaled is (L, (M, E,
-    (V,))) as _common gives it, when the caller has it already.  Callers
-    guard their own domain; this only needs sum(eta) != sum(mu) whenever
-    mu != eta.
+    mu and eta are scaled pairs, or Fraction tuples, which the result keeps
+    as its lower_used and upper_used.  With mu, eta and v(N) over one common
+    denominator L as the ints M, E and V, lam = num / den for num = V -
+    sum(M) and den = sum(E) - sum(M), and alloc_i = (M_i * den + num * (E_i
+    - M_i)) / (L * den).  scaled is (L, (M, E, (V,))) as _common gives it,
+    when the caller has it already.  Callers guard their own domain; this
+    only needs sum(eta) != sum(mu) whenever mu != eta.
     """
-    if mu == eta:
-        return ValueResult(value_id, mu, None, mu, eta, route)
-    L, (M, E, (V,)) = scaled or _common(mu, eta, (v.total,))
-    s_mu = sum(M)
-    num, den = V - s_mu, sum(E) - s_mu
-    scale = L * den
-    alloc = tuple(Fraction(m * den + num * (e - m), scale) for m, e in zip(M, E))
-    return ValueResult(value_id, alloc, Fraction(num, den), mu, eta, route)
+    mu_pair, eta_pair = _scaled_vector(mu), _scaled_vector(eta)
+    lower = _fractions(mu) if mu is mu_pair else tuple(mu)
+    upper = _fractions(eta) if eta is eta_pair else tuple(eta)
+    L, (M, E, (V,)) = scaled or _common(mu_pair, eta_pair, v._scaled_total)
+    if M == E:
+        result, alloc = ValueResult(value_id, lower, None, lower, upper, route), mu_pair
+    else:
+        s_mu = sum(M)
+        num, den = V - s_mu, sum(E) - s_mu
+        if den < 0:
+            num, den = -num, -den
+        alloc = (L * den, tuple(m * den + num * (e - m) for m, e in zip(M, E)))
+        allocation = _fractions(alloc)
+        if type(den) is not int:  # past SCALE_CAP: M, E and V are Fractions
+            alloc = (1, allocation)
+        lam = Fraction(num, den)
+        result = ValueResult(value_id, allocation, lam, lower, upper, route)
+    object.__setattr__(result, "_scaled", alloc)
+    return result
 
 
-def _as_vector(x: Sequence, n: int, what: str) -> BoundVector:
-    vec = tuple(map(as_fraction, x))
-    if len(vec) != n:
-        raise CoopvalsError(f"{what} must have {n} components, got {len(vec)}")
+def _as_vector(x: Sequence, n: int, what: str) -> _Scaled:
+    vec = _scaled_vector(x)
+    if len(vec[1]) != n:
+        raise CoopvalsError(f"{what} must have {n} components, got {len(vec[1])}")
     return vec
 
 
@@ -129,20 +154,21 @@ def compromise(
     value_id: str = "compromise",
     route: str | None = None,
 ) -> ValueResult:
-    """The (mu, eta)-compromise point of v.
+    """The (mu, eta)-compromise point of v, for mu and eta given as
+    rationals or as scaled pairs.
 
     Raises BoundOrderViolated if mu exceeds eta in some component and
     NotBalanced if v(N) falls outside [sum(mu), sum(eta)].
     """
     mu = _as_vector(mu, v.n, "lower bound")
     eta = _as_vector(eta, v.n, "upper bound")
-    scaled = _common(mu, eta, (v.total,))
+    scaled = _common(mu, eta, v._scaled_total)
     L, (M, E, (V,)) = scaled
     for i in range(v.n):
         if M[i] > E[i]:
             raise BoundOrderViolated(
                 f"lower bound exceeds upper bound at player {i + 1}: "
-                f"{mu[i]} > {eta[i]}"
+                f"{Fraction(M[i], L)} > {Fraction(E[i], L)}"
             )
     s_mu, s_eta = sum(M), sum(E)
     if not s_mu <= V <= s_eta:
@@ -167,10 +193,10 @@ def lbc_value(
     fn = functional(mu_id)
     if fn.is_regular_lower is not True:
         raise NotRegularLowerBound(f"{fn.id} is not flagged as a regular lower bound")
-    mu = fn(v)
-    if _total(mu) > v.total:
+    mu = fn._scaled(v)
+    if not _at_most(_total(mu), v._scaled_total):
         raise NotInClass(f"B_l({fn.id})")
-    eta = bounds.eta_from_lower(v, mu)
+    eta = bounds._eta_from(v, mu)
     return compromise(v, mu, eta, value_id=value_id or f"lbc:{fn.id}")
 
 
@@ -186,9 +212,9 @@ def ubc_value(
     v(S) > eta(S); NotBalanced signals sum(mu^eta) > v(N): the game lies
     outside the strong or the proper upper-bound class."""
     fn = functional(eta_id)
-    mu = bounds.mu_from_upper(v, fn)
-    eta = fn(v)
-    if any(map(gt, mu, eta)):
+    mu = bounds._mu_from_upper(v, fn)
+    eta = fn._scaled(v)
+    if not _at_most(mu, eta):
         raise NotInClass(f"B_u({fn.id})")
     return compromise(v, mu, eta, value_id=value_id or f"ubc:{fn.id}")
 
@@ -232,9 +258,9 @@ def gately(v: TUGame) -> ValueResult:
 def _gately(v: TUGame) -> ValueResult:
     if not in_class(v, "essential"):
         raise NotInClass("essential")
-    nu = individual_worths(v)
-    M = bounds.marginal_contributions(v)
-    if nu != M and _total(M) == _total(nu):
+    # Both over the game's own denominator, so the ints compare directly.
+    nu, M = v._singletons, v._marginals
+    if nu[1] != M[1] and sum(M[1]) == sum(nu[1]):
         raise DegenerateBounds(
             "sum(M - nu) = 0 with nu != M leaves the formula undefined"
         )
@@ -259,19 +285,21 @@ def pansc(v: TUGame) -> ValueResult:
 
 
 def _pansc(v: TUGame) -> ValueResult:
-    M = bounds.marginal_contributions(v)
-    vN = v.total
+    # Signs only, so the ints over the game's denominator L > 0 will do.
+    L, M = v._marginals
+    vN = v.scaled[1][-1]
     if vN < 0:
         raise NotInClass("B_l(ZeroLower)")
     for i in range(v.n):
         if M[i] < 0:
             raise BoundOrderViolated(
-                f"marginal contribution of player {i + 1} is negative: {M[i]}"
+                f"marginal contribution of player {i + 1} is negative: "
+                f"{Fraction(M[i], L)}"
             )
     # M >= 0 here, so sum(M) = 0 exactly when M = 0.
     if vN != 0 and not any(M):
         raise DegenerateBounds("sum(M) = 0 cannot pay out v(N) != 0")
-    return _mix(v, (Fraction(0),) * v.n, M, "pansc")
+    return _mix(v, (1, (0,) * v.n), v._marginals, "pansc")
 
 
 def egalitarian(v: TUGame) -> ValueResult:
@@ -296,7 +324,7 @@ def eansc(v: TUGame) -> ValueResult:
 def _eansc(v: TUGame) -> ValueResult:
     routes = [name for name, (_, covers) in EANSC_ROUTES.items() if covers(v)]
     mu_id, eta_id = EANSC_ROUTES[routes[0]][0]
-    lower, upper = functional(mu_id)(v), functional(eta_id)(v)
+    lower, upper = functional(mu_id)._scaled(v), functional(eta_id)._scaled(v)
     return compromise(v, lower, upper, value_id="eansc", route=" and ".join(routes))
 
 
@@ -307,7 +335,8 @@ def km(v: TUGame) -> ValueResult:
     the two bound sums for every game.
     """
     return v.remember("km", lambda: compromise(
-        v, functional("KikutaLower")(v), functional("MilnorUpper")(v), value_id="km"
+        v, functional("KikutaLower")._scaled(v), functional("MilnorUpper")._scaled(v),
+        value_id="km",
     ))
 
 

@@ -17,6 +17,11 @@ needs no division and no sign assumption on the scalar.  Checks whose
 precondition fails raise PreconditionNotMet and are reported as skipped,
 never as silently passed; so do checks whose shifted, transformed or dual
 game leaves the value's class.
+
+Every check compares scaled pairs (L, X) in ints: the bound vectors of the
+functionals, the allocations as values._mix formed them, and the shift
+probes, drawn as ints over one denominator.  Fractions are built only for
+the witness of a failure.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from operator import add, ge
 from typing import Any, Callable, Iterable, Sequence, Tuple
 
 from . import bounds, values
-from .bounds import BoundFunctional, CheckOutcome, Witness, first_difference, functional
+from .bounds import BoundFunctional, CheckOutcome, Witness, _witness, functional
 from .errors import (
     CoopvalsError,
     DomainError,
@@ -42,16 +47,19 @@ from .game import (
     CLASSES,
     TUGame,
     _affine,
+    _at_most,
     _common,
+    _fractions,
     _from_pairs,
     _scale,
+    _Scaled,
+    _scaled_vector,
     _share,
     _total,
     additive_table,
     as_fraction,
     dual,
     in_class,
-    individual_worths,
     player_cap,
     transform,
     zero_normalise,
@@ -81,12 +89,13 @@ AXIOMS = (
     "IndividualRationality",
 )
 
-Probe = Tuple[Fraction, Tuple[Fraction, ...]]
+# (scale, shift): the shift as rationals or as a scaled pair.
+Probe = Tuple[Fraction, Any]
 
 
 def _default_probe(n: int) -> Probe:
-    shift = tuple(Fraction((i + 1) if i % 2 == 0 else -(i + 1)) for i in range(n))
-    return Fraction(3), shift
+    shift = tuple((i + 1) if i % 2 == 0 else -(i + 1) for i in range(n))
+    return Fraction(3), (1, shift)
 
 
 def _value(value_id: str) -> Callable[[TUGame], values.ValueResult]:
@@ -101,13 +110,19 @@ def _pair(value_id: str) -> Tuple[BoundFunctional, BoundFunctional]:
     return functional(mu_id), functional(eta_id)
 
 
+def _allocation(result: values.ValueResult) -> _Scaled:
+    """The allocation of a result as a scaled pair: the one values._mix
+    formed it in, or read off the Fractions of a result built otherwise."""
+    return result._scaled or _scaled_vector(result.allocation)
+
+
 def _derived(
     f: Callable[[TUGame], values.ValueResult], value_id: str, what: str, game: TUGame
-) -> Tuple[Fraction, ...]:
-    """f's allocation on a game derived from v; a derived game outside the
-    value's class fails the axiom's precondition rather than the axiom."""
+) -> _Scaled:
+    """f's allocation pair on a game derived from v; a derived game outside
+    the value's class fails the axiom's precondition rather than the axiom."""
     try:
-        return f(game).allocation
+        return _allocation(f(game))
     except NotInClass as exc:
         raise PreconditionNotMet(
             f"{what} game leaves the class of {value_id}: {exc}"
@@ -133,44 +148,43 @@ def check_axiom(
         raise CoopvalsError(f"unknown axiom id {axiom_id!r}")
     mu_fn, eta_fn = _pair(value_id)
     needs_zero_mu = axiom_id in ("RestrictedProportionality", "EgalitarianDivision")
-    if needs_zero_mu and any(mu_fn(v)):
+    if needs_zero_mu and any(mu_fn._scaled(v)[1]):
         raise PreconditionNotMet(f"mu(v) != 0 for {value_id}")
     if axiom_id == "Covariance":
         scale, shift = probe if probe is not None else _default_probe(v.n)
-        scale, shift = as_fraction(scale), tuple(map(as_fraction, shift))
+        scale, shift = as_fraction(scale), _scaled_vector(shift)
     result = f(v)
-    alloc = result.allocation
+    alloc = _allocation(result)
 
     if axiom_id == "Efficiency":
-        witness = first_difference((_total(alloc),), (v.total,))
+        witness = _witness(_total(alloc), v._scaled_total)
     elif axiom_id == "MinimalRights":
         inner = _derived(f, value_id, "shifted", mu_fn.shifted(v))
-        witness = first_difference(alloc, _affine(1, inner, mu_fn(v)))
+        witness = _witness(alloc, _affine(1, inner, mu_fn._scaled(v)))
     elif axiom_id == "RestrictedProportionality":
         # f_i * sum(eta) against sum(f) * eta_i, both over L * L.
-        L, (A, E) = _common(alloc, eta_fn(v))
+        L, (A, E) = _common(alloc, eta_fn._scaled(v))
         s_alloc, s_eta, LL = sum(A), sum(E), L * L
-        lhs = tuple(Fraction(a * s_eta, LL) for a in A)
-        witness = first_difference(lhs, tuple(Fraction(s_alloc * e, LL) for e in E))
+        witness = _witness(
+            (LL, tuple(a * s_eta for a in A)), (LL, tuple(s_alloc * e for e in E))
+        )
     elif axiom_id == "EgalitarianDivision":
-        witness = first_difference(alloc, (alloc[0],) * v.n)
+        L, A = alloc
+        witness = _witness(alloc, (L, (A[0],) * v.n))
     elif axiom_id == "Covariance":
         moved = _derived(f, value_id, "transformed", transform(v, scale, shift))
-        witness = first_difference(moved, _affine(scale, alloc, shift))
+        witness = _witness(moved, _affine(scale, alloc, shift))
     elif axiom_id == "SelfDuality":
-        witness = first_difference(_derived(f, value_id, "dual", dual(v)), alloc)
+        witness = _witness(_derived(f, value_id, "dual", dual(v)), alloc)
     else:  # IndividualRationality
-        nu = individual_worths(v)
-        bracketed = all(
-            lo <= hi for lo, hi in zip(result.lower_used, result.upper_used)
-        )
-        dominates = all(lo >= x for lo, x in zip(result.lower_used, nu))
-        if not (bracketed and dominates):
+        # The value's bound pair, which it was computed from.
+        lower, nu = mu_fn._scaled(v), v._singletons
+        if not (_at_most(lower, eta_fn._scaled(v)) and _at_most(nu, lower)):
             raise PreconditionNotMet(
                 f"the lower bound of {value_id} does not dominate the "
                 "individual worths on this game"
             )
-        witness = first_difference(alloc, nu, ge)
+        witness = _witness(alloc, nu, ge)
     return CheckOutcome(f"axiom:{axiom_id}:{value_id}", witness)
 
 
@@ -178,10 +192,10 @@ def check_convex_coincidence(v: TUGame) -> CheckOutcome:
     """On a convex game, tau, chi and the KM value must coincide exactly."""
     if not in_class(v, "convex"):
         raise NotInClass("convex")
-    a_tau = values.tau(v).allocation
-    a_chi = values.chi(v).allocation
-    a_km = values.km(v).allocation
-    witness = first_difference(a_tau, a_chi) or first_difference(a_tau, a_km)
+    a_tau = _allocation(values.tau(v))
+    a_chi = _allocation(values.chi(v))
+    a_km = _allocation(values.km(v))
+    witness = _witness(a_tau, a_chi) or _witness(a_tau, a_km)
     return CheckOutcome("convex_coincidence", witness)
 
 
@@ -397,14 +411,12 @@ class SuiteReport:
 # provably satisfies all three conditions, None meaning every game;
 # out-of-class games are skipped, not failed.
 def _pred_ordered(v: TUGame) -> bool:
-    nu = individual_worths(v)
-    M = bounds.marginal_contributions(v)
-    return all(a <= b for a, b in zip(nu, M))
+    return _at_most(v._singletons, v._marginals)
 
 
 def _pred_pansc(v: TUGame) -> bool:
-    M = bounds.marginal_contributions(v)
-    return v.total >= 0 and all(c >= 0 for c in M)
+    # Signs only, so the ints over the game's denominator will do.
+    return v.scaled[1][-1] >= 0 and all(c >= 0 for c in v._marginals[1])
 
 
 _POSITIVE_PAIRS = (
@@ -430,11 +442,13 @@ _VALUE_AXIOM_ROWS = (
 _COVARIANCE_SCALES = (Fraction(1, 2), Fraction(1), Fraction(3))
 
 
-def _random_shift(rng: random.Random, n: int) -> Tuple[Fraction, ...]:
-    shift = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
-    if all(c == 0 for c in shift):
-        shift[0] = Fraction(1)
-    return tuple(shift)
+def _random_shift(rng: random.Random, n: int) -> _Scaled:
+    """n draws p / q, p from [-6, 6] and then q from [1, 3], as one scaled
+    pair; a zero first component becomes 1 when every draw is zero."""
+    L, shift = _scale([(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)])
+    if not any(shift):
+        shift[0] = L
+    return L, tuple(shift)
 
 
 def _pair_check(mu, eta) -> Callable[[TUGame], Witness | None]:
@@ -456,22 +470,24 @@ def _is_defined(f: Callable[[TUGame], values.ValueResult], v: TUGame) -> bool:
 def _eansc_dual_identity(v: TUGame) -> Witness | None:
     """EANSC of v equals CIS of the dual game, v*_i + (v*(N) - sum_j v*_j) / n."""
     star = dual(v)
-    cis_of_dual = _share(individual_worths(star), star.total, v.n)
-    return first_difference(values.eansc(v).allocation, cis_of_dual)
+    cis_of_dual = _share(star._singletons, star._scaled_total, v.n)
+    return _witness(_allocation(values.eansc(v)), cis_of_dual)
 
 
 def _eansc_route_agreement(v: TUGame) -> Witness | None:
     """EANSC and its rebuild through each bound-pair route that covers v
     equal the closed form M_i + (v(N) - sum_j M_j) / n."""
-    closed = _share(bounds.marginal_contributions(v), v.total, v.n)
-    allocations = [values.eansc(v).allocation]
+    closed = _share(v._marginals, v._scaled_total, v.n)
+    allocations = [_allocation(values.eansc(v))]
     allocations += [
-        values.compromise(v, functional(mu)(v), functional(eta)(v)).allocation
+        _allocation(values.compromise(
+            v, functional(mu)._scaled(v), functional(eta)._scaled(v)
+        ))
         for (mu, eta), covers in values.EANSC_ROUTES.values()
         if covers(v)
     ]
     for alloc in allocations:
-        witness = first_difference(alloc, closed)
+        witness = _witness(alloc, closed)
         if witness is not None:
             return witness
     return None
@@ -485,12 +501,11 @@ def _semi_balanced_order(v: TUGame) -> Witness | None:
     n = 3, v({3}) = 1, v({1,2}) = 3, v(N) = 3 and every other worth 0,
     m = (0, 0, 1) and M = (3, 3, 0) meet the bracket, yet m_3 > M_3.
     """
-    M = bounds.marginal_contributions(v)
-    m = bounds.minimal_rights(v)
-    by_order = all(a <= b for a, b in zip(m, M))
-    if in_class(v, "semi-balanced") == by_order:
+    M = v._marginals
+    m = bounds.REGISTRY["MinimalRights"]._scaled(v)
+    if in_class(v, "semi-balanced") == _at_most(m, M):
         return None
-    return Witness(0, m, M)
+    return Witness(0, _fractions(m), _fractions(M))
 
 
 def run_suite_on_games(

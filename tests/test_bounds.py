@@ -154,10 +154,10 @@ def test_registry_and_lookup():
 def test_derived_functionals(g6):
     up = derived_upper_from_lower("IndividualWorths")
     assert up.id == "EtaFrom(IndividualWorths)"
-    assert up.evaluate(g6) == eta_prime(g6)
+    assert up(g6) == eta_prime(g6)
     low = derived_lower_from_upper("MilnorUpper")
     assert low.id == "MuFrom(MilnorUpper)"
-    assert low.evaluate(g6) == individual_worths(g6)
+    assert low(g6) == individual_worths(g6)
     assert low.is_regular_lower
     with pytest.raises(NonCovariantUpperBound):
         derived_lower_from_upper("EtaTrivial")
@@ -166,7 +166,7 @@ def test_derived_functionals(g6):
 def test_constant_lower_factory(g6):
     one = constant_lower(1)
     assert one.id == "Constant(1)"
-    assert one.evaluate(g6) == (1, 1, 1)
+    assert one(g6) == (1, 1, 1)
     zero = constant_lower(0, id="ConstantZero")
     assert zero.id == "ConstantZero"
     assert zero.is_regular_lower

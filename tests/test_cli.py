@@ -335,6 +335,12 @@ REJECTION_FILTERS = (
         # numbers in one table: the per-literal reader, where dense8 takes the
         # bulk one.
         (["report", "--game", MIXED6, "--format", "json"], "mixed6_report.json"),
+        # Six players, with the witnesses of the five expected-negative rows.
+        (
+            ["check", "--sample", "--n", "6", "--count", "20", "--seed", "3",
+             "--format", "json"],
+            "check_sample_n6_seed3.json",
+        ),
     ],
 )
 def test_output_matches_golden(argv, golden, capsys):

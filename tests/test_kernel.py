@@ -46,7 +46,11 @@ from coopvals.game import (
     CLASSES,
     SCALE_CAP,
     _affine,
+    _at_most,
     _common,
+    _first_failure,
+    _fractions,
+    _scaled_vector,
     _share,
     _total,
     additive_table,
@@ -401,22 +405,33 @@ def _game_and_two_vectors(n):
 ))
 def test_vector_step_matches_fraction_arithmetic(drawn):
     v, x, y = drawn
-    L, (X, Y) = _common(x, y)
+    xs, ys = _scaled_vector(x), _scaled_vector(y)
+    assert _scaled_vector(xs) is xs and _fractions(xs) == x
+    L, (X, Y) = _common(xs, ys)
     over_cap = lcm(*(c.denominator for c in x + y)) > SCALE_CAP
-    if over_cap:
-        assert L == 1 and all(type(c) is Fraction for c in X + Y)
-    else:
+    if not over_cap:
         assert all(type(c) is int for c in X + Y)
+    elif all(type(c) is int for c in xs[1] + ys[1]):
+        # Two int pairs whose common denominator passes SCALE_CAP.
+        assert L == 1 and all(type(c) is Fraction for c in X + Y)
     assert tuple(Fraction(c, L) for c in X + Y) == x + y
+    assert _at_most(xs, ys) == all(a <= b for a, b in zip(x, y))
+    assert _first_failure(xs, ys) == next(
+        (i for i, (a, b) in enumerate(zip(x, y)) if a != b), None
+    )
 
     vN, total = v.total, sum(x, Fraction(0))
-    assert _total(x) == total
-    assert _affine(1, x, y) == tuple(a + b for a, b in zip(x, y))
-    assert _affine(-1, y, x) == tuple(a - b for a, b in zip(x, y))
+    assert _fractions(_total(xs)) == (total,)
+    assert _fractions(_affine(1, xs, ys)) == tuple(a + b for a, b in zip(x, y))
+    assert _fractions(_affine(-1, ys, xs)) == tuple(a - b for a, b in zip(x, y))
     scale = Fraction(-7, 3)
-    assert _affine(scale, x, y) == tuple(scale * a + b for a, b in zip(x, y))
+    assert _fractions(_affine(scale, xs, ys)) == tuple(
+        scale * a + b for a, b in zip(x, y)
+    )
     for k in (1, 2, v.n + 1):
-        assert _share(x, vN, k) == tuple(c + (vN - total) / k for c in x)
+        assert _fractions(_share(xs, v._scaled_total, k)) == tuple(
+            c + (vN - total) / k for c in x
+        )
     assert eta_from_lower(v, x) == tuple(vN - (total - c) for c in x)
     M = marginal_contributions(v)
     if v.n >= 2:
@@ -433,6 +448,11 @@ def test_vector_step_matches_fraction_arithmetic(drawn):
         lam = (vN - total) / (sum(y) - total)
         assert mixed.lam == lam
         assert mixed.allocation == tuple(m + lam * (e - m) for m, e in zip(x, y))
+    else:
+        return
+    # From the pairs: the same result, with the allocation's pair kept.
+    assert _mix(v, xs, ys, "mixed") == mixed
+    assert _fractions(mixed._scaled) == mixed.allocation
 
 
 def test_mix_builds_one_fraction_per_component_and_the_weight():

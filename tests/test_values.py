@@ -287,10 +287,10 @@ def test_lbc_closed_form_and_regularity(v):
             r = lbc_value(v, fn)
         except (NotInClass, TooFewPlayers):
             continue
-        mu = fn.evaluate(v)
+        mu = fn(v)
         residual = (v.total - sum(mu)) / v.n
         assert r.allocation == tuple(m + residual for m in mu), fn.id
-        assert fn.evaluate(subtract_allocation(v, mu)) == (0,) * v.n, fn.id
+        assert fn(subtract_allocation(v, mu)) == (0,) * v.n, fn.id
         checked += 1
     # the zero lower bound is in class whenever v(N) >= 0
     assert checked > 0 or v.total < 0
@@ -311,7 +311,7 @@ def test_every_value_reports_its_declared_pair(class_filter, n, seed):
             pair = AXIOM_PAIRS[vid]
             if vid == "eansc":
                 pair = next(p for p, covers in EANSC_ROUTES.values() if covers(v))
-            declared = tuple(functional(fn).evaluate(v) for fn in pair)
+            declared = tuple(functional(fn)(v) for fn in pair)
             assert (r.lower_used, r.upper_used) == declared, vid
 
 
