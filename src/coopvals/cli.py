@@ -35,7 +35,7 @@ from fractions import Fraction
 from . import bounds, values, verify
 from .errors import CoopvalsError, DomainError
 from .game import _fractions, _total, classify
-from .gamefile import game_doc, parse_game_file
+from .gamefile import _games_text, game_doc, parse_game_file
 
 # `bounds --pair`: the pairs values declares; for eansc, its (mu~, M) route.
 PAIR_MAP = {
@@ -243,7 +243,7 @@ def cmd_check(args) -> int:
 def cmd_sample(args) -> int:
     games = verify.sample_games(_sampler_config(args))
     if args.format == "json":
-        print(json.dumps([game_doc(v) for v in games], indent=2))
+        print(_games_text(games))
     else:
         for v in games:
             print(json.dumps(game_doc(v), separators=(",", ":")))

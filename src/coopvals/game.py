@@ -204,12 +204,23 @@ def additive_table(x: Sequence) -> list:
 
 
 def zeta(table: list) -> None:
-    """In place, replace table[S] by the sum of table[T] over all T within S."""
+    """In place, replace table[S] by the sum of table[T] over all T within S.
+
+    One pass per player i adds table[S] to table[S + i] for the S avoiding
+    i.  As in halves, the pass takes one strided slice per offset within a
+    block of 2**i entries below sqrt(len(table)), one slice per block
+    above it.
+    """
     size, bit = len(table), 1
     while bit < size:
-        for lo in range(bit, size, 2 * bit):
-            table[lo:lo + bit] = map(add, table[lo:lo + bit], table[lo - bit:lo])
-        bit <<= 1
+        step = 2 * bit
+        if bit * bit <= size:
+            for k in range(bit):
+                table[bit + k::step] = map(add, table[bit + k::step], table[k::step])
+        else:
+            for lo in range(bit, size, step):
+                table[lo:lo + bit] = map(add, table[lo:lo + bit], table[lo - bit:lo])
+        bit = step
 
 
 def halves(table: Sequence, i: int) -> Tuple[Iterable, Iterable]:

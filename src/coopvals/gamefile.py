@@ -36,6 +36,12 @@ raises the ParseError of the first bad one, naming its place.
 Malformed structure raises ParseError.  Well-formed files violating game
 constraints (player cap, nonzero empty worth) raise the matching
 DomainError from the game layer.
+
+The canonical text of a game is json.dumps(game_doc(v), indent=2), byte
+for byte.  One writer makes it for serialise_game and, as the items of a
+JSON list, for `coopvals sample --format json`: the worths object goes
+through json's C encoder in one call and is spliced in, the labels and the
+player count through json.dumps(indent=2).
 """
 
 from __future__ import annotations
@@ -379,6 +385,36 @@ def game_doc(v: TUGame) -> dict:
     return doc
 
 
+def _doc_text(v: TUGame, pad: str = "") -> str:
+    """json.dumps(game_doc(v), indent=2), byte for byte, with every line
+    after the first indented by pad more, as when the document is nested at
+    that depth.
+
+    The worths object, all string keys and values, goes through json's C
+    encoder in one call, its item separator carrying the newline and the
+    indent; the C encoder does not take an indent, and with one json would
+    fall back to its pure-Python encoder.  The other members go through
+    json.dumps(indent=2) as they are.
+    """
+    inner = pad + "  "
+    members = []
+    for key, value in game_doc(v).items():
+        if key == "worths" and value:
+            item_pad = inner + "  "
+            text = json.dumps(value, separators=(",\n" + item_pad, ": "))
+            text = f"{{\n{item_pad}{text[1:-1]}\n{inner}}}"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n" + inner)
+        members.append(f"{json.dumps(key)}: {text}")
+    return "{\n" + inner + (",\n" + inner).join(members) + "\n" + pad + "}"
+
+
+def _games_text(games) -> str:
+    """json.dumps([game_doc(v) for v in games], indent=2), byte for byte."""
+    texts = [_doc_text(v, "  ") for v in games]
+    return "[\n  " + ",\n  ".join(texts) + "\n]" if texts else "[]"
+
+
 def serialise_game(v: TUGame) -> str:
     """Canonical JSON text for v; parse_game_file round-trips it exactly."""
-    return json.dumps(game_doc(v), indent=2) + "\n"
+    return _doc_text(v) + "\n"

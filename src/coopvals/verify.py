@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from operator import add, ge
 from typing import Any, Callable, Iterable, Sequence, Tuple
 
@@ -246,18 +247,36 @@ class SamplerConfig:
             )
 
 
-def _draw_pair(
-    rng: random.Random, low: int, high: int, config: SamplerConfig
-) -> Tuple[int, int]:
-    """(p, q): p drawn from [low, high], then q from [1, denominator_max]."""
-    return rng.randint(low, high), rng.randint(1, config.denominator_max)
+def _draw_pairs(
+    rng: random.Random, low: int, high: int, q_max: int, count: int
+) -> list[Tuple[int, int]]:
+    """count pairs (p, q): p drawn from [low, high], then q from [1, q_max].
+
+    The draws are those of rng.randint(low, high) and rng.randint(1, q_max),
+    pair after pair, and leave rng in the same state: each int is randint's
+    rejection loop, getrandbits of the width's bit length until the result
+    is below the width, without randint's per-call argument handling.
+    """
+    getrandbits = rng.getrandbits
+    p_width = high - low + 1
+    p_bits, q_bits = p_width.bit_length(), q_max.bit_length()
+    pairs = []
+    append = pairs.append
+    for _ in repeat(None, count):
+        p = getrandbits(p_bits)
+        while p >= p_width:
+            p = getrandbits(p_bits)
+        q = getrandbits(q_bits)
+        while q >= q_max:
+            q = getrandbits(q_bits)
+        append((low + p, q + 1))
+    return pairs
 
 
 def _draw_any(rng: random.Random, config: SamplerConfig, n: int) -> TUGame:
-    pairs = [(0, 1)]
-    pairs.extend(
-        _draw_pair(rng, config.numerator_min, config.numerator_max, config)
-        for _ in range((1 << n) - 1)
+    pairs = [(0, 1)] + _draw_pairs(
+        rng, config.numerator_min, config.numerator_max, config.denominator_max,
+        (1 << n) - 1,
     )
     return _from_pairs(n, pairs)
 
@@ -268,12 +287,9 @@ def _draw_convex(rng: random.Random, config: SamplerConfig, n: int) -> TUGame:
     # under nonnegative sums and additive translations.  The combination is
     # the zeta transform of the coefficients; it and the shift's additive
     # table are summed over one common denominator of every draw, by _scale.
-    hi = max(config.numerator_max, 1)
-    coeffs = [_draw_pair(rng, 0, hi, config) for _ in range((1 << n) - 1)]
-    shift = [
-        _draw_pair(rng, config.numerator_min, config.numerator_max, config)
-        for _ in range(n)
-    ]
+    q_max = config.denominator_max
+    coeffs = _draw_pairs(rng, 0, max(config.numerator_max, 1), q_max, (1 << n) - 1)
+    shift = _draw_pairs(rng, config.numerator_min, config.numerator_max, q_max, n)
     L, scaled = _scale(coeffs + shift)
     table = [0] + scaled[:len(coeffs)]
     zeta(table)
@@ -445,7 +461,7 @@ _COVARIANCE_SCALES = (Fraction(1, 2), Fraction(1), Fraction(3))
 def _random_shift(rng: random.Random, n: int) -> _Scaled:
     """n draws p / q, p from [-6, 6] and then q from [1, 3], as one scaled
     pair; a zero first component becomes 1 when every draw is zero."""
-    L, shift = _scale([(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)])
+    L, shift = _scale(_draw_pairs(rng, -6, 6, 3, n))
     if not any(shift):
         shift[0] = L
     return L, tuple(shift)

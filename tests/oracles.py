@@ -248,3 +248,37 @@ def convex_sample(seed, count, n_min, n_max, numerator_min, numerator_max,
             for S in order
         })
     return games
+
+
+def any_sample(seed, count, n_min, n_max, numerator_min, numerator_max,
+               denominator_max):
+    """The games of the seeded unfiltered sampler, from the same random.Random
+    calls in the same order.  Per game: the player count; then, for each
+    nonempty coalition in the order of its bit pattern (player p is bit
+    p - 1), its worth p/q with p in [numerator_min, numerator_max] and q in
+    [1, denominator_max].  The empty coalition is worth 0."""
+    rng = random.Random(seed)
+    games = []
+    for _ in range(count):
+        n = rng.randint(n_min, n_max)
+        players = range(1, n + 1)
+        order = [
+            frozenset(p for p in players if mask >> (p - 1) & 1)
+            for mask in range(1 << n)
+        ]
+        game = {order[0]: Fraction(0)}
+        for S in order[1:]:
+            game[S] = Fraction(
+                rng.randint(numerator_min, numerator_max),
+                rng.randint(1, denominator_max),
+            )
+        games.append(game)
+    return games
+
+
+def zero_normalised_table(table):
+    """v(S) less the singleton worths of the members of S."""
+    return {
+        S: w - sum((table[frozenset([p])] for p in S), Fraction(0))
+        for S, w in table.items()
+    }

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coopvals import SamplerConfig, classify, parse_game_file, run_suite
-from coopvals.cli import _approx, _scientific, build_parser, main
+from coopvals import (
+    SamplerConfig, classify, game_doc, parse_game_file, run_suite, sample_games,
+)
+from coopvals.cli import _approx, _sampler_config, _scientific, build_parser, main
 
 G6 = {
     "players": 3,
@@ -228,6 +230,24 @@ def test_sample_convex_filter(capsys):
     assert len(docs) == 5
     for doc in docs:
         assert classify(parse_game_file(json.dumps(doc))).convex
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--count", "0"],  # prints "[]"
+        ["--n", "1", "--count", "3"],
+        ["--n", "4", "--count", "3", "--filter", "zero-normalised", "--seed", "5"],
+        ["--n", "5", "--count", "2", "--filter", "convex", "--seed", "2"],
+        ["--n", "3", "--count", "4", "--filter", "M-upper", "--seed", "1"],
+    ],
+)
+def test_sample_json_is_json_dumps_indent_2(flags, capsys):
+    assert main(["sample", *flags, "--format", "json"]) == 0
+    args = build_parser().parse_args(["sample", *flags])
+    games = sample_games(_sampler_config(args))
+    expected = json.dumps([game_doc(v) for v in games], indent=2) + "\n"
+    assert capsys.readouterr().out == expected
 
 
 def test_argparse_rejects_bad_usage(capsys):

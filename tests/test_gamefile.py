@@ -5,6 +5,7 @@ import io
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -161,6 +162,28 @@ def test_game_doc_omits_zero_worths():
         "labels": ["x", "y"],
         "worths": {"1,2": "1/3"},
     }
+
+
+# Labels json must escape: a quote, a backslash, control characters, text
+# past ASCII (astral included), and the empty string.
+_AWKWARD_LABELS = (
+    'say "hi"', "back\\slash", "tab\tnew\nline", "naïve 東京 \U0001F600", "",
+)
+_FERMAT3 = Path(__file__).parent / "golden" / "fermat3_game.json"
+
+
+@settings(max_examples=60, deadline=None)
+@given(games(), st.lists(st.text(), min_size=5, max_size=5) | st.none())
+@example(build_game(5, {0b10110: Fraction(-7, 3), 0b11111: 2}), _AWKWARD_LABELS)
+@example(TUGame(3, (0,) * 8), None)  # every worth omitted: "worths": {}
+@example(TUGame(2, (0,) * 4), ("", "x"))
+@example(build_game(1, {0b1: Fraction(1, 2)}), None)
+@example(build_game(1, {}), ("solo",))
+@example(parse_game_file(_FERMAT3.read_bytes()), None)  # past SCALE_CAP
+def test_serialise_game_is_json_dumps_indent_2(v, labels):
+    if labels is not None:
+        v = TUGame.from_scaled(v.n, *v.scaled, labels[:v.n])
+    assert serialise_game(v) == json.dumps(game_doc(v), indent=2) + "\n"
 
 
 @settings(max_examples=60, deadline=None)

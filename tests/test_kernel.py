@@ -157,6 +157,33 @@ def test_additive_table_zeta_and_halves():
     assert list(without_1) == [0, 1, 4, 5]
 
 
+def _submask_sums(table):
+    """sum of table[T] over the T within S, for each S, by walking S's submasks."""
+    sums = []
+    for S in range(len(table)):
+        total, T = table[0], S
+        while T:
+            total += table[T]
+            T = (T - 1) & S
+        sums.append(total)
+    return sums
+
+
+# Int tables of every size to 2^10: size 2 runs the strided branch only,
+# and from size 8 on the last passes run one slice per block.  The Fraction
+# table, with FERMAT[9] among its denominators, is the sampler's path past
+# SCALE_CAP.
+@pytest.mark.parametrize(
+    "table",
+    [[(7 * S * S + 3 * S + 1) % 23 - 11 for S in range(1 << k)] for k in range(11)]
+    + [[Fraction(S % 5 - 2, FERMAT[S % 10]) for S in range(64)]],
+)
+def test_zeta_matches_submask_sums(table):
+    expected, table = _submask_sums(table), list(table)
+    zeta(table)
+    assert table == expected
+
+
 # The classes each class is decided from, besides itself.
 DECIDED_WITH = {
     "monotonic": {"convex"},

@@ -1,6 +1,7 @@
 """Axiom checks, samplers and the verification suite."""
 
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +31,7 @@ from coopvals import (
     sample_games,
     subtract_allocation,
 )
-from coopvals.verify import CLASS_FILTERS
+from coopvals.verify import CLASS_FILTERS, _draw_pairs
 
 
 def test_axiom_efficiency_and_minimal_rights(g2, g6):
@@ -299,3 +300,72 @@ def test_convex_sampler_matches_reference(seed, n_max, numerators, denominator_m
     )
     drawn = [oracles.game_from_tugame(v) for v in sample_games(config)]
     assert drawn == oracles.convex_sample(seed, 3, 1, n_max, lo, hi, denominator_max)
+
+
+# 120 examples over two filters: about the convex test's 60 for each.
+@settings(max_examples=120, deadline=None)
+@given(
+    class_filter=st.sampled_from(["any", "zero-normalised"]),
+    seed=st.integers(0, 2**64),
+    n_max=st.integers(1, 6),
+    numerators=st.lists(st.integers(-12, 12), min_size=2, max_size=2).map(sorted),
+    denominator_max=st.integers(1, 60),
+)
+@example(
+    class_filter="any", seed=1, n_max=5, numerators=[-12, 12],
+    denominator_max=10**6,
+)
+def test_unfiltered_samplers_match_reference(
+    class_filter, seed, n_max, numerators, denominator_max
+):
+    """The any and zero-normalised samplers draw the games of the frozenset
+    reference, zero-normalised by the reference for the latter."""
+    lo, hi = numerators
+    config = SamplerConfig(
+        n_min=1, n_max=n_max, numerator_min=lo, numerator_max=hi,
+        denominator_max=denominator_max, class_filter=class_filter, count=3,
+        seed=seed,
+    )
+    drawn = [oracles.game_from_tugame(v) for v in sample_games(config)]
+    expected = oracles.any_sample(seed, 3, 1, n_max, lo, hi, denominator_max)
+    if class_filter == "zero-normalised":
+        expected = [oracles.zero_normalised_table(table) for table in expected]
+    assert drawn == expected
+
+
+# Widths 1, 2^k (no draw is rejected), 2^k + 1 (almost half are) and
+# 2^k - 1, and widths past 2^32, where one getrandbits call takes more than
+# one 32-bit word of the generator.
+_WIDTHS = st.one_of(
+    st.just(1),
+    st.builds(
+        lambda k, d: max(1, (1 << k) + d),
+        st.integers(0, 70), st.sampled_from([-1, 0, 1]),
+    ),
+    st.integers(2**32, 2**80),
+    st.integers(1, 100),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    low=st.integers(-(2**70), 2**70),
+    width=_WIDTHS,
+    q_max=_WIDTHS,
+    count=st.integers(0, 40),
+)
+@example(seed=0, low=0, width=1, q_max=1, count=5)
+@example(seed=0, low=-5, width=13, q_max=4, count=0)
+@example(seed=3, low=-(2**40), width=2**33 + 1, q_max=2**32 + 1, count=20)
+def test_draw_pairs_draws_as_randint_does(seed, low, width, q_max, count):
+    """_draw_pairs gives the pairs of two randint calls a pair, in order, and
+    leaves the generator where randint leaves it."""
+    mine, theirs = random.Random(seed), random.Random(seed)
+    high = low + width - 1
+    pairs = _draw_pairs(mine, low, high, q_max, count)
+    expected = [
+        (theirs.randint(low, high), theirs.randint(1, q_max)) for _ in range(count)
+    ]
+    assert pairs == expected
+    assert mine.getstate() == theirs.getstate()
