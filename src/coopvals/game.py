@@ -18,9 +18,9 @@ as Fractions) instead, and the same code runs on the Fractions.
 TUGame.worths, the Fraction table, is a view built on first use.  There
 is no floating point here.
 
-The Kikuta and Milnor bounds of a game come from one sweep,
-_extreme_marginals: each player's marginal contributions are listed once,
-and the min and the max of that list are both kept in the game's memo.
+Every per-player pass over a table (zeta, halves, the marginal sweeps,
+mu^x) splits it into its pairs (S + i, S) with the slices of _slices, the
+one statement of that geometry.
 
 Vectors are scaled the same way.  A scaled vector is a pair (L, X) of a
 positive int L and a tuple X with X[i] = L * x_i, as ints, or (1, the
@@ -39,8 +39,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, islice, repeat
+from functools import cache, cached_property
+from itertools import islice, repeat
 from math import gcd, lcm
 from operator import add, eq, ge, le, mul, sub
 from typing import (
@@ -203,46 +203,41 @@ def additive_table(x: Sequence) -> list:
     return table
 
 
-def zeta(table: list) -> None:
-    """In place, replace table[S] by the sum of table[T] over all T within S.
-
-    One pass per player i adds table[S] to table[S + i] for the S avoiding
-    i.  As in halves, the pass takes one strided slice per offset within a
-    block of 2**i entries below sqrt(len(table)), one slice per block
-    above it.
-    """
-    size, bit = len(table), 1
-    while bit < size:
-        step = 2 * bit
-        if bit * bit <= size:
-            for k in range(bit):
-                table[bit + k::step] = map(add, table[bit + k::step], table[k::step])
-        else:
-            for lo in range(bit, size, step):
-                table[lo:lo + bit] = map(add, table[lo:lo + bit], table[lo - bit:lo])
-        bit = step
-
-
-def halves(table: Sequence, i: int) -> Tuple[Iterable, Iterable]:
-    """table[S + i] and table[S] for the S avoiding player i, in increasing
-    S: the k-th S is the k-th coalition of the other players.
-
-    The entries come in blocks of 2**i.  Below sqrt(len(table)) they are
-    gathered with one strided slice per offset within a block, above it
-    with one slice per block, so either way it takes at most about
-    sqrt(len(table)) slices.
-    """
-    bit, size = 1 << i, len(table)
-    step = 2 * bit
+@cache
+def _slices(size: int, i: int) -> Tuple[Tuple[slice, slice, slice], ...]:
+    """Triples (up, down, at) for player i in a table of size = 2**n: table[up]
+    and table[down] list table[S + i] and table[S] for the S avoiding i, pair
+    by pair, and at places those S in a list of size // 2 in increasing S.
+    The S come in blocks of 2**i: one strided slice per offset in a block up
+    to sqrt(size), one slice per block above, so about sqrt(size) at most."""
+    bit, step = 1 << i, 2 << i
     if bit * bit <= size:
-        upper, lower = [0] * (size // 2), [0] * (size // 2)
-        for k in range(bit):
-            upper[k::bit] = table[bit + k::step]
-            lower[k::bit] = table[k::step]
-        return upper, lower
-    blocks = range(bit, size, step)
-    upper = chain.from_iterable(table[lo:lo + bit] for lo in blocks)
-    return upper, chain.from_iterable(table[lo - bit:lo] for lo in blocks)
+        return tuple(
+            (slice(bit + k, None, step), slice(k, None, step), slice(k, None, bit))
+            for k in range(bit)
+        )
+    return tuple(
+        (slice(lo, lo + bit), slice(lo - bit, lo), slice(at, at + bit))
+        for lo, at in zip(range(bit, size, step), range(0, size, bit))
+    )
+
+
+def zeta(table: list) -> None:
+    """In place, replace table[S] by the sum of table[T] over all T within S:
+    per player i, add table[S] to table[S + i] for the S avoiding i."""
+    for i in range(len(table).bit_length() - 1):
+        for up, down, _ in _slices(len(table), i):
+            table[up] = map(add, table[up], table[down])
+
+
+def halves(table: Sequence, i: int) -> Tuple[list, list]:
+    """The lists of table[S + i] and of table[S] for the S avoiding player i,
+    in increasing S: the k-th S is the k-th coalition of the other players."""
+    upper, lower = [0] * (len(table) // 2), [0] * (len(table) // 2)
+    for up, down, at in _slices(len(table), i):
+        upper[at] = table[up]
+        lower[at] = table[down]
+    return upper, lower
 
 
 def _check_coalition(S: int, n: int) -> None:
@@ -710,21 +705,22 @@ def _derived_lower(v: TUGame, x: _Scaled) -> _Scaled:
     """
     L, e = excess_table(v, x)
     K, W = v.scaled
-    return L * K, tuple(
-        (max(halves(e, i)[0]) - e[1 << i]) * K + W[1 << i] * L for i in range(v.n)
-    )
+    tops = (max(max(e[up]) for up, _, _ in _slices(len(e), i)) for i in range(v.n))
+    return L * K, tuple((m - e[1 << i]) * K + W[1 << i] * L for i, m in enumerate(tops))
 
 
 def _extreme_marginals(v: TUGame) -> Tuple[_Scaled, _Scaled]:
     """(Kikuta, Milnor) as pairs: per player i, the min and the max of v(S)
-    - v(S-i) over the S containing i, both from one marginal list per
-    player.  Kept in v.memo, so the two bounds of a game share one sweep."""
+    - v(S-i) over the S containing i, both from one unordered marginal list
+    per player.  Kept in v.memo, so the two bounds of a game share one sweep."""
 
     def sweep() -> Tuple[_Scaled, _Scaled]:
         L, W = v.scaled
         lows, highs = [], []
         for i in range(v.n):
-            marginal = list(map(sub, *halves(W, i)))
+            marginal = []
+            for up, down, _ in _slices(len(W), i):
+                marginal += map(sub, W[up], W[down])
             lows.append(min(marginal))
             highs.append(max(marginal))
         return (L, tuple(lows)), (L, tuple(highs))
@@ -740,16 +736,19 @@ def _marginal_pass(v: TUGame) -> Tuple[bool, bool]:
     Convexity checks that each player's marginal contributions are
     nondecreasing in every other player, in O(n^2 * 2^n).
     """
-    n = v.n
     _, W = v.scaled
     monotonic = convex = True
-    for i in range(n):
+    for i in range(v.n):
         # Marginal contributions of i to the coalitions of the others, in
         # which player j > i sits at position j - 1.
-        marginal = list(map(sub, *halves(W, i)))
+        marginal = [0] * (len(W) // 2)
+        for up, down, at in _slices(len(W), i):
+            marginal[at] = map(sub, W[up], W[down])
         monotonic = monotonic and min(marginal[1:], default=0) >= 0
         convex = convex and all(
-            all(map(ge, *halves(marginal, j))) for j in range(i, n - 1)
+            all(map(ge, marginal[up], marginal[down]))
+            for j in range(i, v.n - 1)
+            for up, down, _ in _slices(len(marginal), j)
         )
     v.memo["class", "monotonic"], v.memo["class", "convex"] = monotonic, convex
     return monotonic, convex

@@ -86,6 +86,20 @@ def is_convex(table):
     return True
 
 
+def convexity_violations(table):
+    """The pairs {i, j} of players with v(S + i + j) + v(S) < v(S + i) +
+    v(S + j) for some S avoiding both.  None iff the game is convex, since
+    supermodularity follows from these local inequalities; O(n^2 2^n), where
+    is_convex takes O(4^n)."""
+    everyone = players_of(table)
+    return {
+        frozenset({i, j})
+        for s in subsets(everyone)
+        for i, j in combinations([p for p in everyone if p not in s], 2)
+        if table[s | {i, j}] + table[s] < table[s | {i}] + table[s | {j}]
+    }
+
+
 def dual_table(table):
     everyone = frozenset(players_of(table))
     total = table[everyone]

@@ -12,6 +12,10 @@ M_i = min(d_i, E).  Tau is the adjusted proportional rule (Curiel,
 Maschler & Tijs, "Bankruptcy games", Z. Oper. Res. 31, 1987); on a convex
 game chi and KM equal tau, and Kikuta's bound is v({i}) and Milnor's is M,
 so Gately is KM.  CIS, EANSC and PANSC follow from m and M directly.
+
+Additive games v(S) = x(S): every value returns x where it is defined,
+except egalitarian, which returns v(N)/n.  Symmetric games v(S) = f(|S|):
+every value returns v(N)/n where it is defined.
 """
 
 from fractions import Fraction
@@ -30,10 +34,12 @@ from coopvals import (
     sample_games,
 )
 from coopvals.bounds import MU_FROM_MILNOR
-from coopvals.game import additive_table
+from coopvals.game import additive_game, additive_table
+from coopvals.gamefile import parse_game_file, serialise_game
 
 FUNCTIONALS = (*REGISTRY.values(), MU_FROM_MILNOR)
 FERMAT = [2 ** (2**k) + 1 for k in range(10)]
+small_rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
 
 
 def relabel(v: TUGame, pi) -> TUGame:
@@ -159,3 +165,52 @@ def test_bankruptcy_values_have_their_closed_forms(problem):
     )
     pansc = tuple(Fraction(c * estate, sum(M)) if sum(M) else Fraction(0) for c in M)
     assert VALUES["pansc"](v).allocation == pansc
+
+
+def _defined(v) -> dict:
+    """{value id: allocation} for every value defined on v."""
+    outcomes = {vid: _outcome(f, v) for vid, f in VALUES.items()}
+    return {
+        vid: out.allocation for vid, out in outcomes.items()
+        if isinstance(out, ValueResult)
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.lists(small_rationals, min_size=n, max_size=n)
+))
+@example([Fraction(0)])
+def test_additive_games_return_their_vector(x):
+    v = additive_game(x)
+    allocations = _defined(v)
+    assert "tau" in allocations  # m = M = x
+    if "egal" in allocations:
+        assert allocations.pop("egal") == (v.total / v.n,) * v.n
+    for vid, allocation in allocations.items():
+        assert allocation == tuple(x), vid
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.lists(small_rationals, min_size=n, max_size=n)
+))
+# The majority game on five players.
+@example([Fraction(0), Fraction(0), Fraction(1), Fraction(1), Fraction(1)])
+def test_symmetric_games_split_the_grand_worth_equally(by_size):
+    n = len(by_size)
+    v = TUGame(n, [([0] + by_size)[S.bit_count()] for S in range(1 << n)])
+    allocations = _defined(v)
+    for vid, allocation in allocations.items():
+        assert allocation == (v.total / n,) * n, vid
+
+
+def test_bankruptcy_at_sixteen_players_through_the_game_file():
+    # Claims 1..16 against an estate of 130: m_i = d_i - 6 for d_i > 6.
+    claims = list(range(1, 17))
+    v = parse_game_file(serialise_game(bankruptcy(130, claims)))
+    rule = adjusted_proportional(130, claims)
+    for vid in ("tau", "chi", "km", "gately"):
+        assert VALUES[vid](v).allocation == rule, vid
+    pi = [(5 * i + 3) % 16 for i in range(16)]
+    assert VALUES["km"](relabel(v, pi)).allocation == moved(rule, pi)

@@ -21,6 +21,7 @@ from coopvals import (
     CoopvalsError,
     NotBalanced,
     NotInClass,
+    SamplerConfig,
     TUGame,
     chi,
     classify,
@@ -31,6 +32,7 @@ from coopvals import (
     km,
     membership,
     milnor_upper,
+    sample_games,
     subtract_allocation,
     transform,
     ubc_value,
@@ -157,6 +159,18 @@ def test_additive_table_zeta_and_halves():
     assert list(without_1) == [0, 1, 4, 5]
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_halves_lists_each_players_pairs_in_order(k):
+    # Sizes 2 to 2^12 with every player: both slice forms, each with several
+    # slices once 2^k >= 16.
+    table = [(5 * S * S + S) % 97 for S in range(1 << k)]
+    for i in range(k):
+        avoiding = [S for S in range(1 << k) if not S >> i & 1]
+        assert halves(table, i) == (
+            [table[S | 1 << i] for S in avoiding], [table[S] for S in avoiding]
+        )
+
+
 def _submask_sums(table):
     """sum of table[T] over the T within S, for each S, by walking S's submasks."""
     sums = []
@@ -265,6 +279,34 @@ def test_bound_kernels_match_oracles(v, data):
     assert report.in_proper_upper == (
         report.in_strong_upper and sum(derived.values()) <= v.total
     )
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_marginal_sweeps_match_oracles_past_hypothesis_sizes(n):
+    # The Hypothesis games stop at n = 6, where a marginal list has 32
+    # entries.  Here a convex sampled game, and the same game with the worth
+    # of the last two players lowered to the sum of their singleton worths
+    # less 1/2, so that the one pair failing convexity is the last one the
+    # convexity sweep compares.
+    config = SamplerConfig(n_min=n, n_max=n, class_filter="convex",
+                           numerator_min=0, count=1, seed=1)
+    v = sample_games(config)[0]
+    a, b = 1 << (n - 2), 1 << (n - 1)
+    worths = list(v.worths)
+    worths[a | b] = worths[a] + worths[b] - Fraction(1, 2)
+    nudged = TUGame(n, worths)
+    arbitrary = tuple(Fraction(3 * i % 7 - 3, i % 3 + 1) for i in range(n))
+    for u, broken in ((v, set()), (nudged, {frozenset({n - 1, n})})):
+        table = oracles.game_from_tugame(u)
+        assert oracles.convexity_violations(table) == broken
+        report = classify(u)
+        assert report.convex == (not broken)
+        assert report.monotonic == oracles.is_monotonic(table)
+        kikuta, milnor = oracles.extreme_marginal_vectors(table)
+        assert (kikuta_lower(u), milnor_upper(u)) == (_vec(kikuta), _vec(milnor))
+        for eta in (milnor_upper(u), arbitrary):
+            expected = oracles.mu_from_upper(table, _keyed(eta))
+            assert mu_from_upper_vector(u, eta) == _vec(expected)
 
 
 @settings(max_examples=60, deadline=None)

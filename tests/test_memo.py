@@ -239,24 +239,25 @@ def test_only_classify_decides_superadditivity():
 
 
 def test_kikuta_and_milnor_come_from_one_marginal_sweep(monkeypatch):
-    # Each sweep lists every player's marginal contributions once, taking
-    # the two halves of the worth table for that player.
+    # Each sweep lists every player's marginal contributions once, over the
+    # slices that pair the worth table for that player.
     v = sample_games(SamplerConfig(n_min=5, n_max=5, count=1, seed=4))[0]
-    halved = []
-    original = game.halves
+    sliced = []
+    original = game._slices
 
-    def counting(table, i):
-        halved.append(i)
-        return original(table, i)
+    def counting(size, i):
+        sliced.append((size, i))
+        return original(size, i)
 
-    monkeypatch.setattr(game, "halves", counting)
+    monkeypatch.setattr(game, "_slices", counting)
+    one_pass = [(1 << v.n, i) for i in range(v.n)]
     fresh = TUGame(v.n, v.worths)
     low, high = kikuta_lower(fresh), milnor_upper(fresh)
-    assert halved == list(range(v.n))
+    assert sliced == one_pass
     assert REGISTRY["KikutaLower"](fresh) == low
     assert REGISTRY["MilnorUpper"](fresh) == high
     assert VALUES["km"](fresh).lower_used == low
-    assert halved == list(range(v.n))
+    assert sliced == one_pass
     assert (low, high) == (kikuta_lower(v), milnor_upper(v))
 
 
