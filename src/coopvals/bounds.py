@@ -28,8 +28,8 @@ eta(v) - mu(v), where v - x subtracts the additive game of x.
 
 A check reports a failure as data, a Witness: the first component where
 the condition fails, found by first_difference(lhs, rhs, holds), or by
-_witness on scaled pairs.  Check results store only witnesses; passed and the property_*_holds flags are
-read off them.
+_witness on scaled pairs.  Check results store only witnesses; passed and
+the property_*_holds flags are read off them.
 
 Every sweep of the worth table runs in coopvals.game, in O(n * 2^n):
 _extreme_marginals, _derived_lower (mu^eta) and _max_excess (strong upper
@@ -45,8 +45,13 @@ game sweeps give them, and a BoundFunctional keeps that pair per game
 use.  Sums of bound vectors, the componentwise formulas (eta^mu, mu~, eta
 - mu, fn(v) + x) and every comparison of a check run on the pairs through
 the vector step of coopvals.game (_total, _share, _affine, _at_most,
-_first_failure), so a check builds Fractions only for the witness of a
-failure.
+_first_failure), so a check builds no Fraction.  The witness of a failure
+keeps the pairs of its two sides, and lhs and rhs are views of them built
+on first read: a check suite that reports one witness per row builds the
+Fractions of that witness only.  The game v - fn(v) is kept per game
+under the reduced pair of fn(v), so the functionals with one vector on v
+(on a convex game, Kikuta's bound, the individual worths and mu^Milnor)
+share one shifted game and its sweeps.
 """
 
 from __future__ import annotations
@@ -73,10 +78,12 @@ from .game import (
     _fractions,
     _max_excess,
     _ratio,
+    _reduced,
     _Scaled,
     _scaled_vector,
     _share,
     _total,
+    _Views,
     as_fraction,
     in_class,
     marginal_contributions,
@@ -243,12 +250,13 @@ class BoundFunctional:
         return v.remember(self, lambda: _scaled_vector(self.evaluate(v)))
 
     def shifted(self, v: TUGame) -> TUGame:
-        """The game v - self(v), built once per game; v itself when the
-        vector is zero."""
-        x = self._scaled(v)
+        """The game v - self(v), built once per game and vector, so two
+        functionals with one vector on v share it; v itself when the vector
+        is zero."""
+        x = _reduced(self._scaled(v))
         if not any(x[1]):
             return v
-        return v.remember(("shifted", self), lambda: subtract_allocation(v, x))
+        return v.remember(("shifted", x), lambda: subtract_allocation(v, x))
 
 
 def constant_lower(value: int | Fraction = 1, id: str | None = None) -> BoundFunctional:
@@ -336,12 +344,26 @@ MU_FROM_MILNOR = derived_lower_from_upper("MilnorUpper")
 
 
 @dataclass(frozen=True)
-class Witness:
-    """A concrete violation: the first failing component and both sides."""
+class Witness(_Views):
+    """A concrete violation: the first failing component and both sides.
+
+    Witness(component, lhs, rhs) keeps the sides it is given.  A witness of
+    _witness keeps the scaled pairs of its sides instead, and lhs and rhs
+    are views of them, built on first read.
+    """
 
     component: int
     lhs: Tuple[Fraction, ...]
     rhs: Tuple[Fraction, ...]
+
+    _VIEWS = {
+        "lhs": lambda w: _fractions(w._lhs),
+        "rhs": lambda w: _fractions(w._rhs),
+    }
+
+    @classmethod
+    def _from_scaled(cls, component: int, lhs: _Scaled, rhs: _Scaled) -> Witness:
+        return cls._of(component=component, _lhs=lhs, _rhs=rhs)
 
 
 def first_difference(
@@ -357,10 +379,11 @@ def first_difference(
 
 
 def _witness(lhs: _Scaled, rhs: _Scaled, holds=eq) -> Witness | None:
-    """first_difference on two scaled pairs, compared by _first_failure,
-    with the Fractions of both sides built only for a failure."""
+    """first_difference on two scaled pairs, compared by _first_failure;
+    a failure's witness keeps both pairs, and builds the Fractions of a
+    side only when it is read."""
     i = _first_failure(lhs, rhs, holds)
-    return None if i is None else Witness(i, _fractions(lhs), _fractions(rhs))
+    return None if i is None else Witness._from_scaled(i, lhs, rhs)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,10 @@ Kikuta and Milnor, mu^x), _total, _affine and _share add, shift and
 spread pairs into pairs, and _common brings the pairs of one formula to
 the lcm of their L.  Comparisons (_first_failure, _at_most) run on the
 ints, so a Fraction is built only where a caller asks for one
-(_fractions): a public bound vector, a value's allocation, a witness.
-_scaled_vector takes a vector of rationals from a caller to its pair.
+(_fractions): a public bound vector, or a field of a value's result or of
+a witness, which _Views builds from its pair on first read.
+_scaled_vector takes a vector of rationals from a caller to its pair, and
+_reduced brings a pair to its least denominator.
 """
 
 from __future__ import annotations
@@ -367,6 +369,51 @@ def _share(x: _Scaled, total: _Scaled, k: int) -> _Scaled:
     return k * L, tuple(k * c + rest for c in X)
 
 
+def _reduced(x: _Scaled) -> _Scaled:
+    """x over its least denominator: L and X divided by gcd(L, *X), so two
+    pairs of one vector are one pair.  Past SCALE_CAP, where X holds
+    Fractions, that is (1, the Fractions of x)."""
+    L, X = x
+    if L == 1:
+        return x
+    try:
+        g = gcd(L, *X)
+    except TypeError:  # Fractions, past SCALE_CAP
+        return 1, _fractions(x)
+    return x if g == 1 else (L // g, tuple(c // g for c in X))
+
+
+class _Views:
+    """Fields of a frozen dataclass built on first read, and then kept.
+
+    _VIEWS maps a field's name to its builder, a function of the instance.
+    An instance made by _of holds the private state the builders read in
+    place of those fields, and the first read of one builds it; an instance
+    made by the dataclass constructor holds every field as given.  ==,
+    hash, repr and pickling read the fields, so they do not tell the two
+    apart.  A builder is a pure function of the state, so two threads
+    that build one field at once leave it correct.
+    """
+
+    _VIEWS: dict = {}
+
+    @classmethod
+    def _of(cls, **state):
+        obj = cls.__new__(cls)
+        obj.__dict__.update(state)
+        return obj
+
+    def __getattr__(self, name: str):
+        # Called only for a name not set on the instance or its class.
+        build = self._VIEWS.get(name)
+        if build is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        value = self.__dict__[name] = build(self)
+        return value
+
+
 @dataclass(frozen=True, init=False)
 class TUGame:
     """A TU-game: player count n and a dense worth table over all coalitions.
@@ -499,13 +546,14 @@ class TUGame:
     def memo(self) -> dict:
         """Results derived from this game, keyed by what derived them: a bound
         functional (by identity) for its scaled pair, ("fractions",
-        functional) for its Fractions, ("shifted", functional),
-        ("mu_from_upper", eta) for the scaled pair eta of an upper bound some
-        functional gave on this game, "extreme marginals" for the Kikuta and
-        Milnor pairs of one sweep, a value name, or ("class", name) for each
-        name of CLASSES decided so far.  Keys never come from
-        caller-supplied vectors, so the memo is bounded by the functionals,
-        values and classes in the program."""
+        functional) for its Fractions, ("shifted", x) for the game v - x
+        and ("mu_from_upper", eta) for mu^eta, where x is the reduced pair
+        of a vector and eta the pair of an upper bound that some functional
+        gave on this game, "extreme marginals" for the Kikuta and Milnor
+        pairs of one sweep, a value name, or ("class", name) for each name
+        of CLASSES decided so far.  Keys never come from caller-supplied
+        vectors, so the memo is bounded by the functionals, values and
+        classes in the program."""
         return {}
 
     def remember(self, key: Hashable, compute: Callable[[], T]) -> T:

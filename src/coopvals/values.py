@@ -21,12 +21,14 @@ The functions here only compute: they guard their inputs and trust the
 registry flags, and each named value is computed once per game and read
 back from the game's memo after that.  Bound vectors come in as the scaled
 pairs (L, X) of their functionals, and the guards compare those ints.
-Every weight and allocation is formed by one step, _mix, which also keeps
-the allocation's pair for the verification suite; a ValueResult stores
-its fields as given.  The
-identities that tie the named formulas to the engine (the mixture
-identity, closed forms, agreeing routes) are checked by the test suite and
-by the verification suite in coopvals.verify, not on every call.
+Every weight and allocation is formed by one step, _mix, in ints.  The
+result keeps the pairs: the allocation's, which the verification suite
+reads, lam's (num, den), and those of the two bounds.  Its Fraction
+fields are views of them, built on first read, so a result that is only
+checked builds no Fraction.  The identities that tie the named formulas
+to the engine (the mixture identity, closed forms, agreeing routes) are
+checked by the test suite and by the verification suite in
+coopvals.verify, not on every call.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .game import (
     _Scaled,
     _scaled_vector,
     _total,
+    _Views,
     in_class,
 )
 
@@ -78,16 +81,20 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ValueResult:
+class ValueResult(_Views):
     """An allocation plus the bound pair and mixing weight that produced it.
 
     lam is the weight on the upper bound and is absent when the two bounds
-    coincide.  Fields are stored as given; for results built here,
-    allocation = lower_used + lam * (upper_used - lower_used), and the test
-    suite checks that identity.  The engine guarantees efficiency and
-    bracketing for results it produces; PANSC outside its bracket reports
-    lam > 1 (see pansc).  _scaled is the allocation as the scaled pair
-    _mix formed it in, for the verification suite, and None for a result
+    coincide.  For results built here, allocation = lower_used + lam *
+    (upper_used - lower_used), and the test suite checks that identity.
+    The engine guarantees efficiency and bracketing for results it
+    produces; PANSC outside its bracket reports lam > 1 (see pansc).
+
+    ValueResult(value_id, allocation, lam, lower_used, upper_used, route)
+    keeps the fields it is given.  A result of _mix keeps scaled pairs
+    instead, as _from_scaled takes them, and allocation, lam, lower_used
+    and upper_used are views of them, built on first read.  _scaled is the
+    allocation's pair, for the verification suite, and None for a result
     built any other way (replace() included); it takes no part in ==.
     """
 
@@ -98,6 +105,30 @@ class ValueResult:
     upper_used: Tuple[Fraction, ...]
     route: str | None = None
     _scaled: _Scaled | None = field(default=None, init=False, compare=False, repr=False)
+
+    _VIEWS = {
+        "allocation": lambda r: _fractions(r._scaled),
+        "lam": lambda r: None if r._lam is None else Fraction(*r._lam),
+        "lower_used": lambda r: _fractions(r._lower),
+        "upper_used": lambda r: _fractions(r._upper),
+    }
+
+    @classmethod
+    def _from_scaled(
+        cls,
+        value_id: str,
+        allocation: _Scaled,
+        lam: Tuple[int, int] | None,
+        lower: _Scaled,
+        upper: _Scaled,
+        route: str | None = None,
+    ) -> ValueResult:
+        """The result with the allocation and bounds of these pairs and
+        lam = num / den for lam = (num, den), den > 0, or None."""
+        return cls._of(
+            value_id=value_id, route=route, _scaled=allocation, _lam=lam,
+            _lower=lower, _upper=upper,
+        )
 
 
 def _mix(
@@ -111,32 +142,27 @@ def _mix(
     """The efficient point mu + lam * (eta - mu); no weight when mu = eta.
 
     mu and eta are scaled pairs, or Fraction tuples, which the result keeps
-    as its lower_used and upper_used.  With mu, eta and v(N) over one common
-    denominator L as the ints M, E and V, lam = num / den for num = V -
-    sum(M) and den = sum(E) - sum(M), and alloc_i = (M_i * den + num * (E_i
-    - M_i)) / (L * den).  scaled is (L, (M, E, (V,))) as _common gives it,
-    when the caller has it already.  Callers guard their own domain; this
-    only needs sum(eta) != sum(mu) whenever mu != eta.
+    as the pairs of its lower_used and upper_used.  With mu, eta and v(N)
+    over one common denominator L as the ints M, E and V, lam = num / den
+    for num = V - sum(M) and den = sum(E) - sum(M), and alloc_i = (M_i *
+    den + num * (E_i - M_i)) / (L * den).  scaled is (L, (M, E, (V,))) as
+    _common gives it, when the caller has it already.  Callers guard their
+    own domain; this only needs sum(eta) != sum(mu) whenever mu != eta.
     """
-    mu_pair, eta_pair = _scaled_vector(mu), _scaled_vector(eta)
-    lower = _fractions(mu) if mu is mu_pair else tuple(mu)
-    upper = _fractions(eta) if eta is eta_pair else tuple(eta)
-    L, (M, E, (V,)) = scaled or _common(mu_pair, eta_pair, v._scaled_total)
+    mu, eta = _scaled_vector(mu), _scaled_vector(eta)
+    L, (M, E, (V,)) = scaled or _common(mu, eta, v._scaled_total)
     if M == E:
-        result, alloc = ValueResult(value_id, lower, None, lower, upper, route), mu_pair
+        alloc, lam = mu, None
     else:
         s_mu = sum(M)
         num, den = V - s_mu, sum(E) - s_mu
         if den < 0:
             num, den = -num, -den
         alloc = (L * den, tuple(m * den + num * (e - m) for m, e in zip(M, E)))
-        allocation = _fractions(alloc)
         if type(den) is not int:  # past SCALE_CAP: M, E and V are Fractions
-            alloc = (1, allocation)
-        lam = Fraction(num, den)
-        result = ValueResult(value_id, allocation, lam, lower, upper, route)
-    object.__setattr__(result, "_scaled", alloc)
-    return result
+            alloc = (1, _fractions(alloc))
+        lam = (num, den)
+    return ValueResult._from_scaled(value_id, alloc, lam, mu, eta, route)
 
 
 def _as_vector(x: Sequence, n: int, what: str) -> _Scaled:

@@ -20,8 +20,9 @@ game leaves the value's class.
 
 Every check compares scaled pairs (L, X) in ints: the bound vectors of the
 functionals, the allocations as values._mix formed them, and the shift
-probes, drawn as ints over one denominator.  Fractions are built only for
-the witness of a failure.
+probes, drawn as ints over one denominator.  A witness keeps its sides as
+pairs too, and builds their Fractions when they are read: of the suite's
+witnesses, only the first of each row, which SuiteReport.to_dict prints.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .game import (
     _affine,
     _at_most,
     _common,
-    _fractions,
     _from_pairs,
     _scale,
     _Scaled,
@@ -521,7 +521,7 @@ def _semi_balanced_order(v: TUGame) -> Witness | None:
     m = bounds.REGISTRY["MinimalRights"]._scaled(v)
     if in_class(v, "semi-balanced") == _at_most(m, M):
         return None
-    return Witness(0, _fractions(m), _fractions(M))
+    return Witness._from_scaled(0, m, M)
 
 
 def run_suite_on_games(

@@ -361,6 +361,18 @@ REJECTION_FILTERS = (
              "--format", "json"],
             "check_sample_n6_seed3.json",
         ),
+        # compute reads every field of one result: allocation, lambda and both
+        # bounds, on a dense game and past SCALE_CAP.
+        *(
+            (
+                ["compute", "--game", str(GOLDEN / f"{game}_game.json"), "--value",
+                 value, "--format", "json"],
+                f"compute_{game}_{value}.json",
+            )
+            for game in ("dense8", "fermat3")
+            for value in ("tau", "chi", "gately", "cis", "pansc", "eansc", "egal", "km")
+        ),
+        (["compute", "--game", DENSE8, "--value", "tau"], "compute_dense8_tau.txt"),
     ],
 )
 def test_output_matches_golden(argv, golden, capsys):

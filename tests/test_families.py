@@ -18,8 +18,10 @@ except egalitarian, which returns v(N)/n.  Symmetric games v(S) = f(|S|):
 every value returns v(N)/n where it is defined.
 """
 
+import os
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -213,4 +215,24 @@ def test_bankruptcy_at_sixteen_players_through_the_game_file():
     for vid in ("tau", "chi", "km", "gately"):
         assert VALUES[vid](v).allocation == rule, vid
     pi = [(5 * i + 3) % 16 for i in range(16)]
+    assert VALUES["km"](relabel(v, pi)).allocation == moved(rule, pi)
+
+
+# Opt-in: at n = 20 the table has 2^20 worths; the two cases take about
+# 6 s and 400 MB at peak on a 2-CPU Linux machine.
+@pytest.mark.skipif(
+    os.environ.get("COOPVALS_SLOW_TESTS") != "1",
+    reason="set COOPVALS_SLOW_TESTS=1 to run the 18- and 20-player games",
+)
+@pytest.mark.parametrize("n", [18, 20])
+def test_bankruptcy_past_sixteen_players_through_the_game_file(n):
+    # Claims 1..n against an estate 6 short of their sum: m_i = d_i - 6 for
+    # d_i > 6, as at sixteen players.
+    claims = list(range(1, n + 1))
+    estate = sum(claims) - 6
+    v = parse_game_file(serialise_game(bankruptcy(estate, claims)))
+    rule = adjusted_proportional(estate, claims)
+    for vid in ("tau", "chi", "km", "gately"):
+        assert VALUES[vid](v).allocation == rule, vid
+    pi = [(7 * i + 3) % n for i in range(n)]
     assert VALUES["km"](relabel(v, pi)).allocation == moved(rule, pi)

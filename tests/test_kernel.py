@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from dataclasses import astuple
 from fractions import Fraction
 from math import lcm
+from operator import eq, ge, le
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,11 +19,14 @@ from hypothesis import strategies as st
 
 import oracles
 from coopvals import (
+    VALUES,
     CoopvalsError,
+    DomainError,
     NotBalanced,
     NotInClass,
     SamplerConfig,
     TUGame,
+    ValueResult,
     chi,
     classify,
     dual,
@@ -32,6 +36,7 @@ from coopvals import (
     km,
     membership,
     milnor_upper,
+    run_suite,
     sample_games,
     subtract_allocation,
     transform,
@@ -40,8 +45,10 @@ from coopvals import (
 )
 from coopvals.bounds import (
     BoundFunctional,
+    _witness,
     eansc_tilde_lower,
     eta_from_lower,
+    first_difference,
     mu_from_upper_vector,
 )
 from coopvals.game import (
@@ -52,6 +59,7 @@ from coopvals.game import (
     _common,
     _first_failure,
     _fractions,
+    _reduced,
     _scaled_vector,
     _share,
     _total,
@@ -534,3 +542,78 @@ def test_mix_builds_one_fraction_per_component_and_the_weight():
         result = _mix(v, mu, eta, "probe")
     assert result.lam is not None
     assert len(built) <= n + 1
+
+
+def _fresh_result(r):
+    """A result of _mix on r's pairs with no field read yet."""
+    return ValueResult._from_scaled(
+        r.value_id, r._scaled, r._lam, r._lower, r._upper, r.route
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.one_of(_random_games(n), _convex_games(n))))
+def test_a_results_fields_are_views_of_its_pairs(v):
+    # Each field is built from its pair on first read, and ==, hash, repr
+    # and pickling see the result that ValueResult(...) makes of the fields.
+    for vid, f in VALUES.items():
+        try:
+            r = f(v)
+        except DomainError:
+            continue
+        fields = (r.allocation, r.lam, r.lower_used, r.upper_used)
+        assert r.allocation == _fractions(r._scaled), vid
+        assert r.lower_used == _fractions(r._lower), vid
+        assert r.upper_used == _fractions(r._upper), vid
+        if r._lam is None:
+            assert r.lam is None, vid
+        else:
+            num, den = r._lam
+            assert (r.lam,) == _fractions((den, (num,))), vid
+        public = ValueResult(r.value_id, *fields, r.route)
+        assert _fresh_result(r) == public, vid
+        assert hash(_fresh_result(r)) == hash(public), vid
+        assert repr(_fresh_result(r)) == repr(public), vid
+        assert pickle.loads(pickle.dumps(_fresh_result(r))) == public, vid
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(
+        *(st.lists(rationals, min_size=n, max_size=n).map(tuple) for _ in "xy")
+    )),
+    st.sampled_from([eq, le, ge]),
+    st.integers(1, 6),
+)
+def test_a_witness_of_scaled_pairs_is_first_difference(drawn, holds, k):
+    # Both sides over k times their least denominator: the sides of the
+    # witness are views of the pairs, whatever their denominator.
+    x, y = drawn
+    xs, ys = (
+        (k * L, tuple(k * c for c in X)) for L, X in map(_scaled_vector, (x, y))
+    )
+    assert _reduced(xs) == _scaled_vector(x) and _fractions(xs) == x
+    expected = first_difference(x, y, holds)
+    if expected is None:
+        assert _witness(xs, ys, holds) is None
+        return
+    # Each comparison meets a witness with no side read yet.
+    assert _witness(xs, ys, holds) == expected
+    assert hash(_witness(xs, ys, holds)) == hash(expected)
+    assert repr(_witness(xs, ys, holds)) == repr(expected)
+    assert pickle.loads(pickle.dumps(_witness(xs, ys, holds))) == expected
+    w = _witness(xs, ys, holds)
+    assert (w.lhs, w.rhs) == (_fractions(xs), _fractions(ys)) == (x, y)
+
+
+def test_a_suite_run_builds_few_fractions():
+    # A result or a witness that is only checked builds no Fraction: run_suite
+    # reads pairs throughout (2,017 Fractions a run when results built
+    # theirs eagerly).
+    counts = []
+    for seed in range(1, 7):
+        config = SamplerConfig(n_min=5, n_max=5, count=10, seed=seed)
+        with counted_fractions() as built:
+            run_suite(config)
+        counts.append(len(built))
+    assert sum(counts) / len(counts) <= 100, counts
