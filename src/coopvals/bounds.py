@@ -33,11 +33,15 @@ the property_*_holds flags are read off them.
 
 Every sweep of the worth table runs in coopvals.game, in O(n * 2^n):
 _extreme_marginals, _derived_lower (mu^eta) and _max_excess (strong upper
-bounds, b-hat); this module reads no scaled table.  One _extreme_marginals
-sweep per game gives both the Kikuta and the Milnor vector: each player's
+bounds, b-hat); this module reads no scaled table.  One marginal sweep
+per game gives both the Kikuta and the Milnor vector: each player's
 marginal contributions are listed once and their min and max both kept in
 the game's memo, so kikuta_lower and milnor_upper on one game cost one
-pass over the table.
+pass over the table.  The pass that decides the monotonic and convex
+classes lists the same contributions and keeps the same two pairs, so on
+a game classified first (as `report` and `check --game` do) the bounds
+cost no pass of their own; _extreme_marginals sweeps only a game whose
+class was never asked for.
 
 The functionals of this module evaluate to scaled pairs (L, X), as the
 game sweeps give them, and a BoundFunctional keeps that pair per game
@@ -47,11 +51,11 @@ use.  Sums of bound vectors, the componentwise formulas (eta^mu, mu~, eta
 the vector step of coopvals.game (_total, _share, _affine, _at_most,
 _first_failure), so a check builds no Fraction.  The witness of a failure
 keeps the pairs of its two sides, and lhs and rhs are views of them built
-on first read: a check suite that reports one witness per row builds the
-Fractions of that witness only.  The game v - fn(v) is kept per game
-under the reduced pair of fn(v), so the functionals with one vector on v
-(on a convex game, Kikuta's bound, the individual worths and mu^Milnor)
-share one shifted game and its sweeps.
+on first read; its printed text is spelled from the pairs (Witness._text),
+so a check suite that reports one witness per row builds no Fraction.  The
+game v - fn(v) is kept per game under the reduced pair of fn(v), so the
+functionals with one vector on v (on a convex game, Kikuta's bound, the
+individual worths and mu^Milnor) share one shifted game and its sweeps.
 """
 
 from __future__ import annotations
@@ -356,10 +360,7 @@ class Witness(_Views):
     lhs: Tuple[Fraction, ...]
     rhs: Tuple[Fraction, ...]
 
-    _VIEWS = {
-        "lhs": lambda w: _fractions(w._lhs),
-        "rhs": lambda w: _fractions(w._rhs),
-    }
+    _PAIRS = {"lhs": "_lhs", "rhs": "_rhs"}
 
     @classmethod
     def _from_scaled(cls, component: int, lhs: _Scaled, rhs: _Scaled) -> Witness:

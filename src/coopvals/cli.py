@@ -15,7 +15,8 @@ digits than Python converts to text (sys.get_int_max_str_digits(), 4300 by
 default; the limit guards against quadratic-time conversion and is not
 lifted).  Output is written only once a command has finished, so a command
 that fails prints no partial result.
-Rationals are printed as p/q strings; table mode adds decimal
+Rationals are printed as p/q strings, str() of the Fraction, spelled from
+the scaled pairs of the results with no Fraction; table mode adds decimal
 approximations to six significant digits, computed exactly outside the
 normal float range (past it, and nonzero values below 2.2e-308).  All JSON
 output is byte-deterministic for a fixed input and seed.
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 from . import bounds, values, verify
 from .errors import CoopvalsError, DomainError
-from .game import _fractions, _total, classify
+from .game import _spelled, _total, classify
 from .gamefile import _games_text, game_doc, parse_game_file
 
 # `bounds --pair`: the pairs values declares; for eansc, its (mu~, M) route.
@@ -49,8 +50,8 @@ def _load_game(path):
         return parse_game_file(handle.read())
 
 
-def _vec(xs) -> str:
-    return " ".join(str(x) for x in xs)
+def _vec(texts) -> str:
+    return " ".join(texts)
 
 
 def _approx_one(x: Fraction) -> str:
@@ -86,10 +87,6 @@ def _approx(xs) -> str:
     return " ".join(map(_approx_one, xs))
 
 
-def _json_vec(xs):
-    return [str(x) for x in xs]
-
-
 def _bool(flag) -> str:
     if flag is None:
         return "n/a"
@@ -99,10 +96,10 @@ def _bool(flag) -> str:
 def _result_doc(result: values.ValueResult) -> dict:
     return {
         "value": result.value_id,
-        "allocation": _json_vec(result.allocation),
-        "lambda": None if result.lam is None else str(result.lam),
-        "lower": _json_vec(result.lower_used),
-        "upper": _json_vec(result.upper_used),
+        "allocation": result._text("allocation"),
+        "lambda": result._lam_text(),
+        "lower": result._text("lower_used"),
+        "upper": result._text("upper_used"),
         "route": result.route,
     }
 
@@ -110,6 +107,7 @@ def _result_doc(result: values.ValueResult) -> dict:
 def cmd_report(args) -> int:
     v = _load_game(args.game)
     report = classify(v)
+    (total,) = _spelled(v._scaled_total)
     rows = {}
     for vid, fn in values.VALUES.items():
         try:
@@ -121,7 +119,7 @@ def cmd_report(args) -> int:
         doc = {
             "players": v.n,
             "labels": None if v.labels is None else list(v.labels),
-            "total": str(v.total),
+            "total": total,
             "classification": asdict(report),
             "values": {
                 vid: (_result_doc(r) if isinstance(r, values.ValueResult) else {"error": r})
@@ -134,16 +132,16 @@ def cmd_report(args) -> int:
     print(f"players: {v.n}")
     if v.labels is not None:
         print(f"labels: {' '.join(v.labels)}")
-    print(f"v(N): {v.total}")
+    print(f"v(N): {total}")
     flags = ", ".join(f"{k}={_bool(x)}" for k, x in asdict(report).items())
     print(f"classes: {flags}")
     for vid, r in rows.items():
         if isinstance(r, values.ValueResult):
-            lam = "none" if r.lam is None else str(r.lam)
+            doc = _result_doc(r)
             print(
-                f"{vid}: {_vec(r.allocation)} (approx {_approx(r.allocation)}) "
-                f"lambda={lam} lower=[{_vec(r.lower_used)}] "
-                f"upper=[{_vec(r.upper_used)}]"
+                f"{vid}: {_vec(doc['allocation'])} (approx {_approx(r.allocation)}) "
+                f"lambda={doc['lambda'] or 'none'} lower=[{_vec(doc['lower'])}] "
+                f"upper=[{_vec(doc['upper'])}]"
             )
         else:
             print(f"{vid}: {r}")
@@ -153,14 +151,15 @@ def cmd_report(args) -> int:
 def cmd_compute(args) -> int:
     v = _load_game(args.game)
     result = values.VALUES[args.value](v)
+    doc = _result_doc(result)
     if args.format == "json":
-        print(json.dumps(_result_doc(result), indent=2))
+        print(json.dumps(doc, indent=2))
         return 0
-    print(_vec(result.allocation))
+    print(_vec(doc["allocation"]))
     print(f"approx: {_approx(result.allocation)}")
-    print(f"lambda: {'none' if result.lam is None else result.lam}")
-    print(f"lower: {_vec(result.lower_used)}")
-    print(f"upper: {_vec(result.upper_used)}")
+    print(f"lambda: {doc['lambda'] or 'none'}")
+    print(f"lower: {_vec(doc['lower'])}")
+    print(f"upper: {_vec(doc['upper'])}")
     if result.route is not None:
         print(f"route: {result.route}")
     return 0
@@ -170,8 +169,10 @@ def cmd_bounds(args) -> int:
     v = _load_game(args.game)
     mu_id, eta_id = PAIR_MAP[args.pair]
     mu_fn, eta_fn = bounds.functional(mu_id), bounds.functional(eta_id)
-    mu, eta = mu_fn(v), eta_fn(v)
-    (sum_mu,), (sum_eta,) = (_fractions(_total(f._scaled(v))) for f in (mu_fn, eta_fn))
+    mu, eta = mu_fn._scaled(v), eta_fn._scaled(v)
+    (sum_mu,), (sum_eta,), (total,) = map(
+        _spelled, (_total(mu), _total(eta), v._scaled_total)
+    )
     membership = bounds.membership(v, mu_fn, eta_fn)
     # The MembershipReport fields, named once for both formats.
     flags = {k.removeprefix("in_"): x for k, x in asdict(membership).items()}
@@ -181,22 +182,22 @@ def cmd_bounds(args) -> int:
             "pair": args.pair,
             "mu_id": mu_fn.id,
             "eta_id": eta_fn.id,
-            "mu": _json_vec(mu),
-            "eta": _json_vec(eta),
-            "sum_mu": str(sum_mu),
-            "sum_eta": str(sum_eta),
-            "total": str(v.total),
+            "mu": _spelled(mu),
+            "eta": _spelled(eta),
+            "sum_mu": sum_mu,
+            "sum_eta": sum_eta,
+            "total": total,
             **flags,
         }
         print(json.dumps(doc, indent=2))
         return 0
 
     print(f"pair: {args.pair} ({mu_fn.id}, {eta_fn.id})")
-    print(f"mu: {_vec(mu)} (approx {_approx(mu)})")
-    print(f"eta: {_vec(eta)} (approx {_approx(eta)})")
+    print(f"mu: {_vec(_spelled(mu))} (approx {_approx(mu_fn(v))})")
+    print(f"eta: {_vec(_spelled(eta))} (approx {_approx(eta_fn(v))})")
     print(f"sum_mu: {sum_mu}")
     print(f"sum_eta: {sum_eta}")
-    print(f"v(N): {v.total}")
+    print(f"v(N): {total}")
     for name, flag in flags.items():
         print(f"{name}: {_bool(flag)}")
     return 0

@@ -20,7 +20,8 @@ is no floating point here.
 
 Every per-player pass over a table (zeta, halves, the marginal sweeps,
 mu^x) splits it into its pairs (S + i, S) with the slices of _slices, the
-one statement of that geometry.
+one statement of that geometry; _above says where the players sit in a
+marginal list that joins those slices.
 
 Vectors are scaled the same way.  A scaled vector is a pair (L, X) of a
 positive int L and a tuple X with X[i] = L * x_i, as ints, or (1, the
@@ -31,7 +32,9 @@ spread pairs into pairs, and _common brings the pairs of one formula to
 the lcm of their L.  Comparisons (_first_failure, _at_most) run on the
 ints, so a Fraction is built only where a caller asks for one
 (_fractions): a public bound vector, or a field of a value's result or of
-a witness, which _Views builds from its pair on first read.
+a witness, which _Views builds from its pair on first read.  Output needs
+none: _spelled writes a pair's components as str(Fraction) does, from the
+ints and one gcd each (_spell, which game files use too).
 _scaled_vector takes a vector of rationals from a caller to its pair, and
 _reduced brings a pair to its least denominator.
 """
@@ -309,6 +312,24 @@ def _fractions(x: _Scaled) -> Allocation:
     return tuple(Fraction(c, L) for c in X)
 
 
+def _spell(w, L: int) -> str:
+    """str(Fraction(w, L)), from one gcd: reduced, and with no "/1".  With L
+    = 1, w is an int or, past SCALE_CAP, already a Fraction."""
+    if L == 1:
+        return str(w)
+    g = gcd(w, L)
+    return str(w // g) if g == L else f"{w // g}/{L // g}"
+
+
+def _spelled(x: _Scaled) -> list:
+    """[str(c) for c in _fractions(x)], spelled by _spell with no Fraction;
+    through _fractions when L or X holds a Fraction, as past SCALE_CAP."""
+    L, X = x
+    if {type(L), *map(type, X)} == {int}:
+        return [_spell(c, L) for c in X]
+    return [str(c) for c in _fractions(x)]
+
+
 def _common(*parts: _Scaled) -> Tuple[int, list]:
     """(L, [X * (L // K) for each pair (K, X)]) for L the lcm of the K, each
     part a tuple; (1, the parts as Fractions) past SCALE_CAP.  A part
@@ -386,15 +407,19 @@ def _reduced(x: _Scaled) -> _Scaled:
 class _Views:
     """Fields of a frozen dataclass built on first read, and then kept.
 
-    _VIEWS maps a field's name to its builder, a function of the instance.
-    An instance made by _of holds the private state the builders read in
-    place of those fields, and the first read of one builds it; an instance
-    made by the dataclass constructor holds every field as given.  ==,
-    hash, repr and pickling read the fields, so they do not tell the two
-    apart.  A builder is a pure function of the state, so two threads
-    that build one field at once leave it correct.
+    _PAIRS maps the name of a vector field to the name of the scaled pair it
+    is a view of, and _VIEWS any other such field to its builder, a function
+    of the instance.  An instance made by _of holds the private state these
+    read in place of those fields, and the first read of one builds it: the
+    Fractions of its pair, by _fractions, or what the builder gives.  An
+    instance made by the dataclass constructor holds every field as given.
+    ==, hash, repr and pickling read the fields, so they do not tell the two
+    apart.  A view is a pure function of the state, so two threads that
+    build one field at once leave it correct.  _text spells a vector field
+    for output, from its pair when the instance holds one.
     """
 
+    _PAIRS: dict = {}
     _VIEWS: dict = {}
 
     @classmethod
@@ -405,13 +430,24 @@ class _Views:
 
     def __getattr__(self, name: str):
         # Called only for a name not set on the instance or its class.
-        build = self._VIEWS.get(name)
-        if build is None:
+        if name in self._PAIRS:
+            value = _fractions(self.__dict__[self._PAIRS[name]])
+        elif name in self._VIEWS:
+            value = self._VIEWS[name](self)
+        else:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        value = self.__dict__[name] = build(self)
+        self.__dict__[name] = value
         return value
+
+    def _text(self, name: str) -> list:
+        """[str(x) for x in the vector field name], spelled from its pair by
+        _spelled, with no Fraction, when the instance holds the pair."""
+        pair = self.__dict__.get(self._PAIRS[name])
+        if pair is None:  # made by the dataclass constructor
+            return [str(x) for x in getattr(self, name)]
+        return _spelled(pair)
 
 
 @dataclass(frozen=True, init=False)
@@ -550,10 +586,11 @@ class TUGame:
         and ("mu_from_upper", eta) for mu^eta, where x is the reduced pair
         of a vector and eta the pair of an upper bound that some functional
         gave on this game, "extreme marginals" for the Kikuta and Milnor
-        pairs of one sweep, a value name, or ("class", name) for each name
-        of CLASSES decided so far.  Keys never come from caller-supplied
-        vectors, so the memo is bounded by the functionals, values and
-        classes in the program."""
+        pairs of one marginal sweep (_extreme_marginals, or the pass that
+        decides monotonic and convex, whichever runs first), a value name,
+        or ("class", name) for each name of CLASSES decided so far.  Keys
+        never come from caller-supplied vectors, so the memo is bounded by
+        the functionals, values and classes in the program."""
         return {}
 
     def remember(self, key: Hashable, compute: Callable[[], T]) -> T:
@@ -757,18 +794,44 @@ def _derived_lower(v: TUGame, x: _Scaled) -> _Scaled:
     return L * K, tuple((m - e[1 << i]) * K + W[1 << i] * L for i, m in enumerate(tops))
 
 
+def _marginal_list(W: Sequence, i: int) -> list:
+    """W[S + i] - W[S] for each S avoiding player i, as the runs of the
+    slices of _slices joined in order (faster to build than placed in
+    increasing S); the per-player loop of both marginal sweeps.  Entry 0
+    is S = empty and the last entry is S = N - i; _above says where the
+    other players sit in between."""
+    marginal = []
+    for up, down, _ in _slices(len(W), i):
+        marginal += map(sub, W[up], W[down])
+    return marginal
+
+
+def _above(size: int, i: int) -> range:
+    """The bits of a position in _marginal_list(W, i), for a table W of size
+    = 2**n, that hold the players j > i, in increasing j.  A position is the
+    S of its entry less bit i, the players j < i and j > i in two runs of
+    bits.  Where _slices gives one slice per block, the players j < i are
+    the low bits, as in S; where it gives one strided slice per offset
+    within a block, the slices are joined offset by offset, and the players
+    j > i are the low bits instead."""
+    n = size.bit_length() - 1
+    if (1 << i) ** 2 <= size:  # strided, as _slices decides
+        return range(n - 1 - i)
+    return range(i, n - 1)
+
+
 def _extreme_marginals(v: TUGame) -> Tuple[_Scaled, _Scaled]:
     """(Kikuta, Milnor) as pairs: per player i, the min and the max of v(S)
-    - v(S-i) over the S containing i, both from one unordered marginal list
-    per player.  Kept in v.memo, so the two bounds of a game share one sweep."""
+    - v(S-i) over the S containing i, both from one marginal list per
+    player.  Kept in v.memo, so the two bounds of a game share one sweep;
+    _marginal_pass keeps them too, so a game whose monotonic or convex
+    class was asked for first needs no sweep here."""
 
     def sweep() -> Tuple[_Scaled, _Scaled]:
         L, W = v.scaled
         lows, highs = [], []
         for i in range(v.n):
-            marginal = []
-            for up, down, _ in _slices(len(W), i):
-                marginal += map(sub, W[up], W[down])
+            marginal = _marginal_list(W, i)
             lows.append(min(marginal))
             highs.append(max(marginal))
         return (L, tuple(lows)), (L, tuple(highs))
@@ -777,28 +840,37 @@ def _extreme_marginals(v: TUGame) -> Tuple[_Scaled, _Scaled]:
 
 
 def _marginal_pass(v: TUGame) -> Tuple[bool, bool]:
-    """(monotonic, convex) from one marginal table per player; both are kept.
+    """(monotonic, convex) from one marginal list per player; both are kept,
+    and so are the Kikuta and Milnor pairs of _extreme_marginals, the min
+    and max of the same lists, unless v.memo holds them already.
 
     Monotonicity checks that no marginal contribution to a nonempty
     coalition is negative, which chains to all nonempty subset pairs.
     Convexity checks that each player's marginal contributions are
-    nondecreasing in every other player, in O(n^2 * 2^n).
+    nondecreasing in every other player, in O(n^2 * 2^n).  Player i's list
+    is checked against the players j > i; the players j < i were checked
+    against i, which is the same condition.  So while every check so far
+    has held, i's list is nondecreasing in every other player, and its min
+    and max are its first and last entries, v({i}) and v(N) - v(N-i).
     """
-    _, W = v.scaled
+    L, W = v.scaled
+    memo = v.memo
+    lows, highs = ([], []) if "extreme marginals" not in memo else (None, None)
     monotonic = convex = True
     for i in range(v.n):
-        # Marginal contributions of i to the coalitions of the others, in
-        # which player j > i sits at position j - 1.
-        marginal = [0] * (len(W) // 2)
-        for up, down, at in _slices(len(W), i):
-            marginal[at] = map(sub, W[up], W[down])
+        marginal = _marginal_list(W, i)
         monotonic = monotonic and min(marginal[1:], default=0) >= 0
         convex = convex and all(
             all(map(ge, marginal[up], marginal[down]))
-            for j in range(i, v.n - 1)
+            for j in _above(len(W), i)
             for up, down, _ in _slices(len(marginal), j)
         )
-    v.memo["class", "monotonic"], v.memo["class", "convex"] = monotonic, convex
+        if lows is not None:
+            lows.append(marginal[0] if convex else min(marginal))
+            highs.append(marginal[-1] if convex else max(marginal))
+    memo["class", "monotonic"], memo["class", "convex"] = monotonic, convex
+    if lows is not None:
+        memo["extreme marginals"] = (L, tuple(lows)), (L, tuple(highs))
     return monotonic, convex
 
 

@@ -50,11 +50,10 @@ import json
 import re
 from fractions import Fraction
 from itertools import compress
-from math import gcd
 from typing import Tuple, Union
 
 from .errors import ParseError, PlayerCountExceeded, TooFewPlayers
-from .game import TUGame, _denominator, _from_pairs, player_cap
+from .game import TUGame, _denominator, _from_pairs, _spell, player_cap
 
 __all__ = ["parse_game_file", "serialise_game", "game_doc"]
 
@@ -354,15 +353,6 @@ def _key_table(first: int, stop: int) -> list:
         token = str(i + 1)
         keys += [token] + [f"{key},{token}" for key in keys[1:]]
     return keys
-
-
-def _spell(w, L: int) -> str:
-    """str(Fraction(w, L)), from one gcd: reduced, and with no "/1".  With L
-    = 1, w is an int or, past SCALE_CAP, already a Fraction."""
-    if L == 1:
-        return str(w)
-    g = gcd(w, L)
-    return str(w // g) if g == L else f"{w // g}/{L // g}"
 
 
 def game_doc(v: TUGame) -> dict:

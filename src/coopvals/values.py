@@ -55,6 +55,7 @@ from .game import (
     _fractions,
     _Scaled,
     _scaled_vector,
+    _spelled,
     _total,
     _Views,
     in_class,
@@ -106,12 +107,8 @@ class ValueResult(_Views):
     route: str | None = None
     _scaled: _Scaled | None = field(default=None, init=False, compare=False, repr=False)
 
-    _VIEWS = {
-        "allocation": lambda r: _fractions(r._scaled),
-        "lam": lambda r: None if r._lam is None else Fraction(*r._lam),
-        "lower_used": lambda r: _fractions(r._lower),
-        "upper_used": lambda r: _fractions(r._upper),
-    }
+    _PAIRS = {"allocation": "_scaled", "lower_used": "_lower", "upper_used": "_upper"}
+    _VIEWS = {"lam": lambda r: None if r._lam is None else Fraction(*r._lam)}
 
     @classmethod
     def _from_scaled(
@@ -129,6 +126,16 @@ class ValueResult(_Views):
             value_id=value_id, route=route, _scaled=allocation, _lam=lam,
             _lower=lower, _upper=upper,
         )
+
+    def _lam_text(self) -> str | None:
+        """str(lam), or None when there is no weight; spelled from (num,
+        den) by _spelled, with no Fraction, for a result of _mix."""
+        if self._scaled is None:  # made by the constructor
+            return None if self.lam is None else str(self.lam)
+        if self._lam is None:
+            return None
+        num, den = self._lam
+        return _spelled((den, (num,)))[0]
 
 
 def _mix(

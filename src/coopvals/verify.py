@@ -21,8 +21,9 @@ game leaves the value's class.
 Every check compares scaled pairs (L, X) in ints: the bound vectors of the
 functionals, the allocations as values._mix formed them, and the shift
 probes, drawn as ints over one denominator.  A witness keeps its sides as
-pairs too, and builds their Fractions when they are read: of the suite's
-witnesses, only the first of each row, which SuiteReport.to_dict prints.
+pairs too, and builds their Fractions only when they are read;
+SuiteReport.to_dict prints the first witness of each row, spelled from its
+pairs with no Fraction.
 """
 
 from __future__ import annotations
@@ -399,8 +400,8 @@ class SuiteReport:
                 return None
             return {
                 "component": w.component,
-                "lhs": [str(x) for x in w.lhs],
-                "rhs": [str(x) for x in w.rhs],
+                "lhs": w._text("lhs"),
+                "rhs": w._text("rhs"),
             }
 
         return {

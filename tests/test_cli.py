@@ -1,6 +1,9 @@
 """End-to-end CLI behaviour through main(argv)."""
 
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,9 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopvals import (
-    SamplerConfig, classify, game_doc, parse_game_file, run_suite, sample_games,
+    VALUES, DomainError, SamplerConfig, TUGame, ValueResult, Witness, classify,
+    functional, game_doc, parse_game_file, run_suite, run_suite_on_games,
+    sample_games, serialise_game,
 )
-from coopvals.cli import _approx, _sampler_config, _scientific, build_parser, main
+from coopvals.cli import (
+    PAIR_MAP, _approx, _result_doc, _sampler_config, _scientific, build_parser, main,
+)
 
 G6 = {
     "players": 3,
@@ -541,3 +548,97 @@ def test_one_parser_serves_every_call(game_file, capsys):
     together = [_outcome(argv, capsys) for argv in calls]
     assert build_parser() is parser
     assert together == alone
+
+
+FERMAT = [2 ** (2**k) + 1 for k in range(10)]
+
+
+def _printed_doc(argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return json.loads(out.getvalue())
+
+
+def _strs(xs) -> list:
+    return [str(x) for x in xs]
+
+
+def _fermat_games(n):
+    # Worths over Fermat denominators: the common denominator passes
+    # SCALE_CAP, so every pair printed is held as Fractions.
+    return st.lists(
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from(FERMAT)),
+        min_size=(1 << n) - 1, max_size=(1 << n) - 1,
+    ).map(lambda worths: TUGame(n, [0, *worths]))
+
+
+_PRINTED_GAMES = st.integers(2, 5).flatmap(lambda n: st.one_of(
+    st.builds(
+        lambda f, seed: sample_games(SamplerConfig(
+            n_min=n, n_max=n, class_filter=f, count=1, seed=seed
+        ))[0],
+        st.sampled_from(["any", "convex"]),
+        st.integers(0, 2**32),
+    ),
+    _fermat_games(n),
+))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_PRINTED_GAMES)
+# An additive game: m = M, so tau, chi and gately have no weight.
+@example(TUGame(3, [0, 1, 2, 3, 3, 4, 5, 6]))
+@example(parse_game_file((GOLDEN / "fermat3_game.json").read_bytes()))
+def test_printed_rationals_are_str_of_the_fraction_fields(v):
+    # report, bounds and the check witnesses spell each rational from its
+    # scaled pair; the text is str() of the Fraction it stands for.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "game.json")
+        Path(path).write_text(serialise_game(v))
+        report = _printed_doc(["report", "--game", path, "--format", "json"])
+        pairs = {
+            pair: _printed_doc(
+                ["bounds", "--game", path, "--pair", pair, "--format", "json"]
+            )
+            for pair in PAIR_MAP
+        }
+    assert report["total"] == str(v.total)
+    for vid, value in VALUES.items():
+        try:
+            r = value(v)
+        except DomainError as exc:
+            assert report["values"][vid] == {"error": str(exc)}
+            continue
+        assert report["values"][vid] == {
+            "value": r.value_id,
+            "allocation": _strs(r.allocation),
+            "lambda": None if r.lam is None else str(r.lam),
+            "lower": _strs(r.lower_used),
+            "upper": _strs(r.upper_used),
+            "route": r.route,
+        }
+    for pair, doc in pairs.items():
+        mu, eta = (functional(f)(v) for f in PAIR_MAP[pair])
+        assert (doc["mu"], doc["eta"]) == (_strs(mu), _strs(eta))
+        assert (doc["sum_mu"], doc["sum_eta"], doc["total"]) == tuple(
+            map(str, (sum(mu), sum(eta), v.total))
+        )
+    suite = run_suite_on_games([v])
+    for check, row in zip(suite.checks, suite.to_dict()["checks"]):
+        if check.witness is not None:
+            w = check.witness
+            assert (row["witness"]["lhs"], row["witness"]["rhs"]) == (
+                _strs(w.lhs), _strs(w.rhs)
+            )
+
+
+def test_text_of_results_and_witnesses_made_by_their_constructors():
+    # Built from their fields, not from pairs: the text is str() of each.
+    r = ValueResult("made", (Fraction(1, 2), 3), Fraction(2, 6), (0, 1), (1, 4))
+    assert _result_doc(r) == {
+        "value": "made", "allocation": ["1/2", "3"], "lambda": "1/3",
+        "lower": ["0", "1"], "upper": ["1", "4"], "route": None,
+    }
+    w = Witness(1, (Fraction(4, 6), 2), (1, Fraction(-1, 3)))
+    assert (w._text("lhs"), w._text("rhs")) == (["2/3", "2"], ["1", "-1/3"])

@@ -16,9 +16,16 @@ so Gately is KM.  CIS, EANSC and PANSC follow from m and M directly.
 Additive games v(S) = x(S): every value returns x where it is defined,
 except egalitarian, which returns v(N)/n.  Symmetric games v(S) = f(|S|):
 every value returns v(N)/n where it is defined.
+
+Duality.  For the dual game v*(S) = v(N) - v(N - S), player i's marginal
+contributions in v* are those in v, over the complementary coalitions, so
+Kikuta(v*) = Kikuta(v) and Milnor(v*) = Milnor(v); v*'s singleton worths
+are M(v) and M(v*) is nu(v); and KM, the one self-dual value, has
+KM(v*) = KM(v).  These run to n = 12, past the oracles' n = 10.
 """
 
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +40,13 @@ from coopvals import (
     SamplerConfig,
     TUGame,
     ValueResult,
+    classify,
+    dual,
+    individual_worths,
+    kikuta_lower,
+    km,
+    marginal_contributions,
+    milnor_upper,
     sample_games,
 )
 from coopvals.bounds import MU_FROM_MILNOR
@@ -207,6 +221,47 @@ def test_symmetric_games_split_the_grand_worth_equally(by_size):
         assert allocation == (v.total / n,) * n, vid
 
 
+@st.composite
+def duality_games(draw):
+    """A game of 1 to 12 players: (w . 1_S)^2 / d + x(S), which is convex;
+    the same with one worth moved; or arbitrary worths.  Up to n = 8 the
+    denominators may be Fermat numbers, whose lcm passes SCALE_CAP."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["convex", "nudged", "arbitrary"]))
+    fermat = n <= 8 and draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def rational(lo, hi):
+        q = FERMAT[rng.randrange(10)] if fermat else rng.randint(1, 4)
+        return Fraction(rng.randint(lo, hi), q)
+
+    if kind == "arbitrary":
+        return TUGame(n, [0] + [rational(-20, 20) for _ in range(1, 1 << n)])
+    w = [rng.randint(1, 9) for _ in range(n)]
+    d = rng.randint(1, 6)
+    x = additive_table([rational(-9, 9) for _ in range(n)])
+    worths = [Fraction(s * s, d) + t for s, t in zip(additive_table(w), x)]
+    if kind == "nudged":
+        worths[rng.randrange(1, 1 << n)] += rational(-9, 9)
+    return TUGame(n, worths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(duality_games(), st.booleans())
+def test_duality_laws_past_the_oracles(v, classified):
+    # With classify first, the marginal pass of each game keeps its Kikuta
+    # and Milnor pairs; without it, the bounds' own sweep does.
+    w = dual(v)
+    if classified:
+        classify(v)
+        classify(w)
+    assert kikuta_lower(w) == kikuta_lower(v)
+    assert milnor_upper(w) == milnor_upper(v)
+    assert individual_worths(w) == marginal_contributions(v)
+    assert marginal_contributions(w) == individual_worths(v)
+    assert km(w).allocation == km(v).allocation
+
+
 def test_bankruptcy_at_sixteen_players_through_the_game_file():
     # Claims 1..16 against an estate of 130: m_i = d_i - 6 for d_i > 6.
     claims = list(range(1, 17))
@@ -219,7 +274,7 @@ def test_bankruptcy_at_sixteen_players_through_the_game_file():
 
 
 # Opt-in: at n = 20 the table has 2^20 worths; the two cases take about
-# 6 s and 400 MB at peak on a 2-CPU Linux machine.
+# 8 s and 400 MB at peak on a 2-CPU Linux machine.
 @pytest.mark.skipif(
     os.environ.get("COOPVALS_SLOW_TESTS") != "1",
     reason="set COOPVALS_SLOW_TESTS=1 to run the 18- and 20-player games",
@@ -231,6 +286,11 @@ def test_bankruptcy_past_sixteen_players_through_the_game_file(n):
     claims = list(range(1, n + 1))
     estate = sum(claims) - 6
     v = parse_game_file(serialise_game(bankruptcy(estate, claims)))
+    # The marginal pass of classify keeps Kikuta's bound, here v({i}), and
+    # Milnor's, here M_i = d_i, for the values below.
+    assert classify(v).convex
+    assert kikuta_lower(v) == tuple(max(0, d - 6) for d in claims)
+    assert milnor_upper(v) == tuple(claims)
     rule = adjusted_proportional(estate, claims)
     for vid in ("tau", "chi", "km", "gately"):
         assert VALUES[vid](v).allocation == rule, vid

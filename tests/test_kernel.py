@@ -54,14 +54,17 @@ from coopvals.bounds import (
 from coopvals.game import (
     CLASSES,
     SCALE_CAP,
+    _above,
     _affine,
     _at_most,
     _common,
     _first_failure,
     _fractions,
+    _marginal_list,
     _reduced,
     _scaled_vector,
     _share,
+    _spelled,
     _total,
     additive_table,
     build_game,
@@ -179,6 +182,27 @@ def test_halves_lists_each_players_pairs_in_order(k):
         )
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_marginal_list_places_each_player_at_its_bit(k):
+    # With W[S] = S^2 the entry for S is 2^(i+1) * S + 4^i, so each
+    # position gives back its S.  Sizes 2 to 2^12 meet both slice forms.
+    size = 1 << k
+    W = [S * S for S in range(size)]
+    for i in range(k):
+        marginal = _marginal_list(W, i)
+        S = [(m - 4**i) >> (i + 1) for m in marginal]
+        assert sorted(S) == [T for T in range(size) if not T >> i & 1]
+        above = list(_above(size, i))
+        below = [b for b in range(k - 1) if b not in above]
+        assert len(above) == k - 1 - i
+        # The bits of a position hold the players j > i in order, and the
+        # others hold the players j < i in order.
+        for b, player in [*zip(above, range(i + 1, k)), *zip(below, range(i))]:
+            for p in range(len(marginal)):
+                if not p >> b & 1:
+                    assert S[p | 1 << b] == S[p] | 1 << player
+
+
 def _submask_sums(table):
     """sum of table[T] over the T within S, for each S, by walking S's submasks."""
     sums = []
@@ -240,13 +264,21 @@ def test_classify_matches_oracles(v, order):
 
     # Asked one at a time in any order, on a game with an empty memo, each
     # class comes out the same, and nothing beyond what it is decided with
-    # is kept.
+    # is kept, besides the Kikuta and Milnor pairs of the marginal pass once
+    # monotonic or convex has been asked for.
     fresh = TUGame(v.n, v.worths)
     asked = set()
     for name in order:
         asked |= {name, *DECIDED_WITH.get(name, ())}
         assert in_class(fresh, name) == expected[name]
-        assert set(fresh.memo) <= {("class", c) for c in asked}
+        kept = {("class", c) for c in asked}
+        if asked & {"monotonic", "convex"}:
+            kept.add("extreme marginals")
+        assert set(fresh.memo) <= kept
+    kikuta, milnor = fresh.memo["extreme marginals"]
+    assert (_fractions(kikuta), _fractions(milnor)) == tuple(
+        map(_vec, oracles.extreme_marginal_vectors(table))
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -287,6 +319,39 @@ def test_bound_kernels_match_oracles(v, data):
     assert report.in_proper_upper == (
         report.in_strong_upper and sum(derived.values()) <= v.total
     )
+
+
+def _fermat_convex(n):
+    """|S|^2 plus an additive part over Fermat denominators: convex, and
+    held as Fractions, since FERMAT[8] alone passes SCALE_CAP."""
+    x = [Fraction(i + 1, FERMAT[9 - i]) for i in range(n)]
+    return TUGame(n, [
+        S.bit_count() ** 2 + sum((x[i] for i in _players(S)), Fraction(0))
+        for S in range(1 << n)
+    ])
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_games)
+# Past SCALE_CAP: a convex table, and the same with v({1, 2}) lowered, so
+# that the pass keeps the first and last entries of some lists and takes
+# the min and max of the others.
+@example(_fermat_convex(3))
+@example(TUGame(3, [w - 3 * (S == 3) for S, w in enumerate(_fermat_convex(3).worths)]))
+def test_marginal_pass_and_sweep_keep_one_pair(v):
+    # Kikuta and Milnor come out the same, down to their scaled pairs,
+    # whether the marginal pass of classify or the sweep of the bounds
+    # fills the memo, and both equal the oracles.
+    table = oracles.game_from_tugame(v)
+    expected = tuple(map(_vec, oracles.extreme_marginal_vectors(table)))
+    classified_first, swept_first = TUGame(v.n, v.worths), TUGame(v.n, v.worths)
+    classify(classified_first)
+    bounds_first = kikuta_lower(swept_first), milnor_upper(swept_first)
+    classify(swept_first)
+    assert (kikuta_lower(classified_first), milnor_upper(classified_first)) == expected
+    assert bounds_first == expected
+    pairs = [u.memo["extreme marginals"] for u in (classified_first, swept_first)]
+    assert pairs[0] == pairs[1]
 
 
 @pytest.mark.parametrize("n", range(7, 11))
@@ -410,6 +475,19 @@ def counted_fractions():
         yield built
     finally:
         Fraction.__new__ = slot
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40) | st.sampled_from(FERMAT),
+    st.lists(st.integers(-(10**6), 10**6) | st.sampled_from(FERMAT), max_size=5),
+)
+# A pair past SCALE_CAP: the Fractions over L != 1 that _share and _affine
+# give there, which gcd does not take.
+@example(3, [Fraction(1, FERMAT[9]), Fraction(-2, FERMAT[8])])
+def test_spelled_pairs_are_str_of_their_fractions(L, X):
+    x = (L, tuple(X))
+    assert _spelled(x) == [str(c) for c in _fractions(x)]
 
 
 def test_derived_games_build_no_fraction_per_coalition():
