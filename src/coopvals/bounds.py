@@ -351,9 +351,9 @@ MU_FROM_MILNOR = derived_lower_from_upper("MilnorUpper")
 class Witness(_Views):
     """A concrete violation: the first failing component and both sides.
 
-    Witness(component, lhs, rhs) keeps the sides it is given.  A witness of
-    _witness keeps the scaled pairs of its sides instead, and lhs and rhs
-    are views of them, built on first read.
+    A witness of _witness keeps the scaled pairs of its sides, and lhs and
+    rhs are views of them, built on first read.  Witness(component, lhs,
+    rhs) keeps the sides it is given and their pairs over 1.
     """
 
     component: int

@@ -18,8 +18,8 @@ as Fractions) instead, and the same code runs on the Fractions.
 TUGame.worths, the Fraction table, is a view built on first use.  There
 is no floating point here.
 
-Every per-player pass over a table (zeta, halves, the marginal sweeps,
-mu^x) splits it into its pairs (S + i, S) with the slices of _slices, the
+Every per-player pass over a table (zeta, the marginal sweeps, mu^x)
+splits it into its pairs (S + i, S) with the slice pairs of _slices, the
 one statement of that geometry; _above says where the players sit in a
 marginal list that joins those slices.
 
@@ -79,7 +79,6 @@ __all__ = [
     "coalition_total",
     "additive_table",
     "zeta",
-    "halves",
     "scaled_with",
     "excess_table",
     "build_game",
@@ -209,21 +208,19 @@ def additive_table(x: Sequence) -> list:
 
 
 @cache
-def _slices(size: int, i: int) -> Tuple[Tuple[slice, slice, slice], ...]:
-    """Triples (up, down, at) for player i in a table of size = 2**n: table[up]
-    and table[down] list table[S + i] and table[S] for the S avoiding i, pair
-    by pair, and at places those S in a list of size // 2 in increasing S.
-    The S come in blocks of 2**i: one strided slice per offset in a block up
-    to sqrt(size), one slice per block above, so about sqrt(size) at most."""
+def _slices(size: int, i: int) -> Tuple[Tuple[slice, slice], ...]:
+    """Pairs (up, down) for player i in a table of size = 2**n: table[up] and
+    table[down] list table[S + i] and table[S] for the S avoiding i, pair by
+    pair.  The S come in blocks of 2**i: one strided slice per offset in a
+    block up to sqrt(size), one slice per block above, so about sqrt(size)
+    at most."""
     bit, step = 1 << i, 2 << i
     if bit * bit <= size:
         return tuple(
-            (slice(bit + k, None, step), slice(k, None, step), slice(k, None, bit))
-            for k in range(bit)
+            (slice(bit + k, None, step), slice(k, None, step)) for k in range(bit)
         )
     return tuple(
-        (slice(lo, lo + bit), slice(lo - bit, lo), slice(at, at + bit))
-        for lo, at in zip(range(bit, size, step), range(0, size, bit))
+        (slice(lo, lo + bit), slice(lo - bit, lo)) for lo in range(bit, size, step)
     )
 
 
@@ -231,18 +228,8 @@ def zeta(table: list) -> None:
     """In place, replace table[S] by the sum of table[T] over all T within S:
     per player i, add table[S] to table[S + i] for the S avoiding i."""
     for i in range(len(table).bit_length() - 1):
-        for up, down, _ in _slices(len(table), i):
+        for up, down in _slices(len(table), i):
             table[up] = map(add, table[up], table[down])
-
-
-def halves(table: Sequence, i: int) -> Tuple[list, list]:
-    """The lists of table[S + i] and of table[S] for the S avoiding player i,
-    in increasing S: the k-th S is the k-th coalition of the other players."""
-    upper, lower = [0] * (len(table) // 2), [0] * (len(table) // 2)
-    for up, down, at in _slices(len(table), i):
-        upper[at] = table[up]
-        lower[at] = table[down]
-    return upper, lower
 
 
 def _check_coalition(S: int, n: int) -> None:
@@ -411,12 +398,13 @@ class _Views:
     is a view of, and _VIEWS any other such field to its builder, a function
     of the instance.  An instance made by _of holds the private state these
     read in place of those fields, and the first read of one builds it: the
-    Fractions of its pair, by _fractions, or what the builder gives.  An
-    instance made by the dataclass constructor holds every field as given.
-    ==, hash, repr and pickling read the fields, so they do not tell the two
-    apart.  A view is a pure function of the state, so two threads that
-    build one field at once leave it correct.  _text spells a vector field
-    for output, from its pair when the instance holds one.
+    Fractions of its pair, by _fractions, or what the builder gives.  The
+    dataclass constructor, and so dataclasses.replace, keeps the fields as
+    given and stores each pair too, over 1: (1, the field).  So every
+    instance holds its pairs.  ==, hash, repr and pickling read the fields.
+    A view is a pure function of the state, so two threads that build one
+    field at once leave it correct.  _text spells a vector field for
+    output from its pair.
     """
 
     _PAIRS: dict = {}
@@ -427,6 +415,10 @@ class _Views:
         obj = cls.__new__(cls)
         obj.__dict__.update(state)
         return obj
+
+    def __post_init__(self) -> None:
+        for name, pair in self._PAIRS.items():
+            self.__dict__[pair] = (1, tuple(self.__dict__[name]))
 
     def __getattr__(self, name: str):
         # Called only for a name not set on the instance or its class.
@@ -443,11 +435,8 @@ class _Views:
 
     def _text(self, name: str) -> list:
         """[str(x) for x in the vector field name], spelled from its pair by
-        _spelled, with no Fraction, when the instance holds the pair."""
-        pair = self.__dict__.get(self._PAIRS[name])
-        if pair is None:  # made by the dataclass constructor
-            return [str(x) for x in getattr(self, name)]
-        return _spelled(pair)
+        _spelled, with no Fraction for a pair of ints."""
+        return _spelled(self.__dict__[self._PAIRS[name]])
 
 
 @dataclass(frozen=True, init=False)
@@ -587,8 +576,8 @@ class TUGame:
         of a vector and eta the pair of an upper bound that some functional
         gave on this game, "extreme marginals" for the Kikuta and Milnor
         pairs of one marginal sweep (_extreme_marginals, or the pass that
-        decides monotonic and convex, whichever runs first), a value name,
-        or ("class", name) for each name of CLASSES decided so far.  Keys
+        decides monotonic and convex), a value name, or ("class", name)
+        for each name of CLASSES decided so far.  Keys
         never come from caller-supplied vectors, so the memo is bounded by
         the functionals, values and classes in the program."""
         return {}
@@ -790,7 +779,7 @@ def _derived_lower(v: TUGame, x: _Scaled) -> _Scaled:
     """
     L, e = excess_table(v, x)
     K, W = v.scaled
-    tops = (max(max(e[up]) for up, _, _ in _slices(len(e), i)) for i in range(v.n))
+    tops = (max(max(e[up]) for up, _ in _slices(len(e), i)) for i in range(v.n))
     return L * K, tuple((m - e[1 << i]) * K + W[1 << i] * L for i, m in enumerate(tops))
 
 
@@ -801,7 +790,7 @@ def _marginal_list(W: Sequence, i: int) -> list:
     is S = empty and the last entry is S = N - i; _above says where the
     other players sit in between."""
     marginal = []
-    for up, down, _ in _slices(len(W), i):
+    for up, down in _slices(len(W), i):
         marginal += map(sub, W[up], W[down])
     return marginal
 
@@ -842,7 +831,7 @@ def _extreme_marginals(v: TUGame) -> Tuple[_Scaled, _Scaled]:
 def _marginal_pass(v: TUGame) -> Tuple[bool, bool]:
     """(monotonic, convex) from one marginal list per player; both are kept,
     and so are the Kikuta and Milnor pairs of _extreme_marginals, the min
-    and max of the same lists, unless v.memo holds them already.
+    and max of the same lists.
 
     Monotonicity checks that no marginal contribution to a nonempty
     coalition is negative, which chains to all nonempty subset pairs.
@@ -854,8 +843,7 @@ def _marginal_pass(v: TUGame) -> Tuple[bool, bool]:
     and max are its first and last entries, v({i}) and v(N) - v(N-i).
     """
     L, W = v.scaled
-    memo = v.memo
-    lows, highs = ([], []) if "extreme marginals" not in memo else (None, None)
+    lows, highs = [], []
     monotonic = convex = True
     for i in range(v.n):
         marginal = _marginal_list(W, i)
@@ -863,14 +851,13 @@ def _marginal_pass(v: TUGame) -> Tuple[bool, bool]:
         convex = convex and all(
             all(map(ge, marginal[up], marginal[down]))
             for j in _above(len(W), i)
-            for up, down, _ in _slices(len(marginal), j)
+            for up, down in _slices(len(marginal), j)
         )
-        if lows is not None:
-            lows.append(marginal[0] if convex else min(marginal))
-            highs.append(marginal[-1] if convex else max(marginal))
+        lows.append(marginal[0] if convex else min(marginal))
+        highs.append(marginal[-1] if convex else max(marginal))
+    memo = v.memo
     memo["class", "monotonic"], memo["class", "convex"] = monotonic, convex
-    if lows is not None:
-        memo["extreme marginals"] = (L, tuple(lows)), (L, tuple(highs))
+    memo["extreme marginals"] = (L, tuple(lows)), (L, tuple(highs))
     return monotonic, convex
 
 

@@ -33,7 +33,7 @@ coopvals.verify, not on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence, Tuple, Union
@@ -91,12 +91,12 @@ class ValueResult(_Views):
     The engine guarantees efficiency and bracketing for results it
     produces; PANSC outside its bracket reports lam > 1 (see pansc).
 
-    ValueResult(value_id, allocation, lam, lower_used, upper_used, route)
-    keeps the fields it is given.  A result of _mix keeps scaled pairs
-    instead, as _from_scaled takes them, and allocation, lam, lower_used
-    and upper_used are views of them, built on first read.  _scaled is the
-    allocation's pair, for the verification suite, and None for a result
-    built any other way (replace() included); it takes no part in ==.
+    A result of _mix keeps scaled pairs, as _from_scaled takes them, and
+    allocation, lam, lower_used and upper_used are views of them, built on
+    first read.  ValueResult(value_id, allocation, lam, lower_used,
+    upper_used, route) keeps the fields it is given and their pairs over 1,
+    lam's as (lam, 1).  _scaled is the allocation's pair, which the
+    verification suite reads.
     """
 
     value_id: str
@@ -105,10 +105,13 @@ class ValueResult(_Views):
     lower_used: Tuple[Fraction, ...]
     upper_used: Tuple[Fraction, ...]
     route: str | None = None
-    _scaled: _Scaled | None = field(default=None, init=False, compare=False, repr=False)
 
     _PAIRS = {"allocation": "_scaled", "lower_used": "_lower", "upper_used": "_upper"}
     _VIEWS = {"lam": lambda r: None if r._lam is None else Fraction(*r._lam)}
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.__dict__["_lam"] = None if self.lam is None else (self.lam, 1)
 
     @classmethod
     def _from_scaled(
@@ -129,9 +132,7 @@ class ValueResult(_Views):
 
     def _lam_text(self) -> str | None:
         """str(lam), or None when there is no weight; spelled from (num,
-        den) by _spelled, with no Fraction, for a result of _mix."""
-        if self._scaled is None:  # made by the constructor
-            return None if self.lam is None else str(self.lam)
+        den) by _spelled."""
         if self._lam is None:
             return None
         num, den = self._lam

@@ -112,19 +112,13 @@ def _pair(value_id: str) -> Tuple[BoundFunctional, BoundFunctional]:
     return functional(mu_id), functional(eta_id)
 
 
-def _allocation(result: values.ValueResult) -> _Scaled:
-    """The allocation of a result as a scaled pair: the one values._mix
-    formed it in, or read off the Fractions of a result built otherwise."""
-    return result._scaled or _scaled_vector(result.allocation)
-
-
 def _derived(
     f: Callable[[TUGame], values.ValueResult], value_id: str, what: str, game: TUGame
 ) -> _Scaled:
     """f's allocation pair on a game derived from v; a derived game outside
     the value's class fails the axiom's precondition rather than the axiom."""
     try:
-        return _allocation(f(game))
+        return f(game)._scaled
     except NotInClass as exc:
         raise PreconditionNotMet(
             f"{what} game leaves the class of {value_id}: {exc}"
@@ -155,8 +149,7 @@ def check_axiom(
     if axiom_id == "Covariance":
         scale, shift = probe if probe is not None else _default_probe(v.n)
         scale, shift = as_fraction(scale), _scaled_vector(shift)
-    result = f(v)
-    alloc = _allocation(result)
+    alloc = f(v)._scaled
 
     if axiom_id == "Efficiency":
         witness = _witness(_total(alloc), v._scaled_total)
@@ -194,9 +187,9 @@ def check_convex_coincidence(v: TUGame) -> CheckOutcome:
     """On a convex game, tau, chi and the KM value must coincide exactly."""
     if not in_class(v, "convex"):
         raise NotInClass("convex")
-    a_tau = _allocation(values.tau(v))
-    a_chi = _allocation(values.chi(v))
-    a_km = _allocation(values.km(v))
+    a_tau = values.tau(v)._scaled
+    a_chi = values.chi(v)._scaled
+    a_km = values.km(v)._scaled
     witness = _witness(a_tau, a_chi) or _witness(a_tau, a_km)
     return CheckOutcome("convex_coincidence", witness)
 
@@ -488,18 +481,18 @@ def _eansc_dual_identity(v: TUGame) -> Witness | None:
     """EANSC of v equals CIS of the dual game, v*_i + (v*(N) - sum_j v*_j) / n."""
     star = dual(v)
     cis_of_dual = _share(star._singletons, star._scaled_total, v.n)
-    return _witness(_allocation(values.eansc(v)), cis_of_dual)
+    return _witness(values.eansc(v)._scaled, cis_of_dual)
 
 
 def _eansc_route_agreement(v: TUGame) -> Witness | None:
     """EANSC and its rebuild through each bound-pair route that covers v
     equal the closed form M_i + (v(N) - sum_j M_j) / n."""
     closed = _share(v._marginals, v._scaled_total, v.n)
-    allocations = [_allocation(values.eansc(v))]
+    allocations = [values.eansc(v)._scaled]
     allocations += [
-        _allocation(values.compromise(
+        values.compromise(
             v, functional(mu)._scaled(v), functional(eta)._scaled(v)
-        ))
+        )._scaled
         for (mu, eta), covers in values.EANSC_ROUTES.values()
         if covers(v)
     ]

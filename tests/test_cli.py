@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import pickle
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -634,11 +635,16 @@ def test_printed_rationals_are_str_of_the_fraction_fields(v):
 
 
 def test_text_of_results_and_witnesses_made_by_their_constructors():
-    # Built from their fields, not from pairs: the text is str() of each.
+    # Built from their fields, which they keep with their pairs over 1: the
+    # text is spelled from the pairs, as str() of each field would be.
     r = ValueResult("made", (Fraction(1, 2), 3), Fraction(2, 6), (0, 1), (1, 4))
     assert _result_doc(r) == {
         "value": "made", "allocation": ["1/2", "3"], "lambda": "1/3",
         "lower": ["0", "1"], "upper": ["1", "4"], "route": None,
     }
     w = Witness(1, (Fraction(4, 6), 2), (1, Fraction(-1, 3)))
-    assert (w._text("lhs"), w._text("rhs")) == (["2/3", "2"], ["1", "-1/3"])
+    for made in (w, pickle.loads(pickle.dumps(w))):
+        assert made._lhs == (1, (Fraction(2, 3), 2))
+        assert made._rhs == (1, (1, Fraction(-1, 3)))
+        assert (made._text("lhs"), made._text("rhs")) == (["2/3", "2"], ["1", "-1/3"])
+        assert made == w

@@ -1,5 +1,6 @@
 """Game layer: construction, validation, transforms, classification."""
 
+import importlib
 from decimal import Decimal
 from fractions import Fraction
 
@@ -324,3 +325,17 @@ def test_bool_players_and_coalitions_still_count_as_ints():
     assert coalition([True, 0]) == 0b11
     assert members(True) == (0,)
     assert coalition_total((Fraction(2), Fraction(3)), True) == 2
+
+
+@pytest.mark.parametrize(
+    "name", ["game", "bounds", "values", "verify", "gamefile", "errors"]
+)
+def test_every_exported_name_resolves(name):
+    # A name left in __all__ after its definition goes would break
+    # `from coopvals.<name> import *`.
+    module = importlib.import_module(f"coopvals.{name}")
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    namespace: dict = {}
+    exec(f"from coopvals.{name} import *", namespace)
+    assert set(module.__all__) <= namespace.keys()

@@ -62,6 +62,7 @@ from coopvals.game import (
     _fractions,
     _marginal_list,
     _reduced,
+    _slices,
     _scaled_vector,
     _share,
     _spelled,
@@ -70,7 +71,6 @@ from coopvals.game import (
     build_game,
     coalition_total,
     excess_table,
-    halves,
     in_class,
     marginal_contributions,
     zeta,
@@ -165,21 +165,10 @@ def test_additive_table_zeta_and_halves():
     table = list(range(8))
     zeta(table)
     assert table == [sum(T for T in range(8) if T & S == T) for S in range(8)]
-    with_1, without_1 = halves(list(range(8)), 1)
-    assert list(with_1) == [2, 3, 6, 7]
-    assert list(without_1) == [0, 1, 4, 5]
-
-
-@pytest.mark.parametrize("k", range(1, 13))
-def test_halves_lists_each_players_pairs_in_order(k):
-    # Sizes 2 to 2^12 with every player: both slice forms, each with several
-    # slices once 2^k >= 16.
-    table = [(5 * S * S + S) % 97 for S in range(1 << k)]
-    for i in range(k):
-        avoiding = [S for S in range(1 << k) if not S >> i & 1]
-        assert halves(table, i) == (
-            [table[S | 1 << i] for S in avoiding], [table[S] for S in avoiding]
-        )
+    # The two halves of the table for player 1, as the pairs (S + 1, S).
+    table = range(8)
+    pairs = [p for up, down in _slices(8, 1) for p in zip(table[up], table[down])]
+    assert sorted(pairs) == [(2, 0), (3, 1), (6, 4), (7, 5)]
 
 
 @pytest.mark.parametrize("k", range(1, 13))

@@ -2,6 +2,8 @@
 
 import json
 import random
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +33,7 @@ from coopvals import (
     sample_games,
     subtract_allocation,
 )
+from coopvals.gamefile import parse_game_file
 from coopvals.verify import CLASS_FILTERS, _draw_pairs
 
 
@@ -253,6 +256,45 @@ def test_eansc_route_agreement_catches_a_wrong_allocation(g2, g6, monkeypatch):
     assert row.witness.component == 0
     assert row.witness.lhs == off_by_one(g2).allocation
     assert row.witness.rhs == real(g2).allocation
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _verdict(axiom_id, value_id, v):
+    try:
+        return check_axiom(axiom_id, value_id, v)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("source", ["sampled", "fermat3"])
+@pytest.mark.parametrize("remake", [
+    lambda r: ValueResult(*(getattr(r, f.name) for f in fields(r))),
+    lambda r: replace(r, route="x"),
+], ids=["constructor", "replace"])
+def test_a_result_made_from_its_fields_reads_and_checks_as_computed(
+    source, remake, monkeypatch
+):
+    # A result built by the constructor or by replace() holds its fields'
+    # pairs over 1: it prints as the computed result does, and the axiom
+    # checks, which read its pairs, give the same verdicts.  fermat3 is past
+    # SCALE_CAP, where the computed pairs hold Fractions too.
+    if source == "sampled":
+        config = SamplerConfig(n_min=4, n_max=4, class_filter="semi-balanced", seed=1)
+        v = sample_games(config)[0]
+    else:
+        v = parse_game_file((GOLDEN / "fermat3_game.json").read_bytes())
+    for vid, real in dict(values.VALUES).items():
+        r = real(v)  # every value is defined on both games
+        made = remake(r)
+        for name in ("allocation", "lower_used", "upper_used"):
+            assert made._text(name) == r._text(name), (vid, name)
+        assert made._lam_text() == r._lam_text(), vid
+        axioms = ("Efficiency", "MinimalRights", "Covariance")
+        computed = [_verdict(a, vid, v) for a in axioms]
+        monkeypatch.setitem(values.VALUES, vid, lambda g, real=real: remake(real(g)))
+        assert [_verdict(a, vid, v) for a in axioms] == computed, vid
 
 
 def test_eansc_route_agreement_checks_routes_against_the_closed_form(monkeypatch):
