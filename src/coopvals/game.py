@@ -34,7 +34,7 @@ ints, so a Fraction is built only where a caller asks for one
 (_fractions): a public bound vector, or a field of a value's result or of
 a witness, which _Views builds from its pair on first read.  Output needs
 none: _spelled writes a pair's components as str(Fraction) does, from the
-ints and one gcd each (_spell, which game files use too).
+ints and one gcd each, for game files too.
 _scaled_vector takes a vector of rationals from a caller to its pair, and
 _reduced brings a pair to its least denominator.
 """
@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import islice, repeat
 from math import gcd, lcm
-from operator import add, eq, ge, le, mul, sub
+from operator import add, eq, floordiv, ge, le, mul, sub
 from typing import (
     Callable, Hashable, Iterable, Mapping, Sequence, Tuple, TypeVar, Union,
 )
@@ -299,22 +299,19 @@ def _fractions(x: _Scaled) -> Allocation:
     return tuple(Fraction(c, L) for c in X)
 
 
-def _spell(w, L: int) -> str:
-    """str(Fraction(w, L)), from one gcd: reduced, and with no "/1".  With L
-    = 1, w is an int or, past SCALE_CAP, already a Fraction."""
-    if L == 1:
-        return str(w)
-    g = gcd(w, L)
-    return str(w // g) if g == L else f"{w // g}/{L // g}"
-
-
 def _spelled(x: _Scaled) -> list:
-    """[str(c) for c in _fractions(x)], spelled by _spell with no Fraction;
-    through _fractions when L or X holds a Fraction, as past SCALE_CAP."""
+    """[str(c) for c in _fractions(x)], with no Fraction for a pair of ints:
+    each X[i] over its gcd g with L, then "/" and L // g unless g = L, in
+    maps over the whole vector, with one suffix per distinct g.  Through
+    _fractions when L or X holds a Fraction, as past SCALE_CAP."""
     L, X = x
-    if {type(L), *map(type, X)} == {int}:
-        return [_spell(c, L) for c in X]
-    return [str(c) for c in _fractions(x)]
+    if {type(L), *map(type, X)} != {int}:
+        return [str(c) for c in _fractions(x)]
+    if L == 1:
+        return list(map(str, X))
+    G = list(map(gcd, X, repeat(L)))
+    suffix = {g: "" if g == L else f"/{L // g}" for g in set(G)}
+    return list(map(add, map(str, map(floordiv, X, G)), map(suffix.__getitem__, G)))
 
 
 def _common(*parts: _Scaled) -> Tuple[int, list]:
@@ -839,20 +836,23 @@ def _marginal_pass(v: TUGame) -> Tuple[bool, bool]:
     nondecreasing in every other player, in O(n^2 * 2^n).  Player i's list
     is checked against the players j > i; the players j < i were checked
     against i, which is the same condition.  So while every check so far
-    has held, i's list is nondecreasing in every other player, and its min
-    and max are its first and last entries, v({i}) and v(N) - v(N-i).
+    has held, i's list is nondecreasing in every other player: its min and
+    max are its first and last entries, v({i}) and v(N) - v(N-i), and its
+    least entry over nonempty S is at a singleton, at a position 1 << b.
     """
     L, W = v.scaled
     lows, highs = [], []
     monotonic = convex = True
     for i in range(v.n):
         marginal = _marginal_list(W, i)
-        monotonic = monotonic and min(marginal[1:], default=0) >= 0
         convex = convex and all(
             all(map(ge, marginal[up], marginal[down]))
             for j in _above(len(W), i)
             for up, down in _slices(len(marginal), j)
         )
+        if monotonic:
+            singletons = [marginal[1 << b] for b in range(v.n - 1)]
+            monotonic = min(singletons if convex else marginal[1:], default=0) >= 0
         lows.append(marginal[0] if convex else min(marginal))
         highs.append(marginal[-1] if convex else max(marginal))
     memo = v.memo

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -18,14 +20,17 @@ from coopvals import (
     NonzeroEmptyCoalition,
     ParseError,
     PlayerCountExceeded,
+    SamplerConfig,
     TooFewPlayers,
     TUGame,
     build_game,
     game_doc,
     parse_game_file,
+    sample_games,
     serialise_game,
 )
 from coopvals import gamefile
+from coopvals.game import SCALE_CAP, _scale
 from coopvals.cli import main
 
 
@@ -538,3 +543,81 @@ def test_a_canonical_file_reads_the_same_by_either_reader(n):
     assert gamefile._listed_by_mask(table, n) is not None
     pairs = gamefile._sparse_pairs(table, n)
     assert parse_game_file(serialise_game(v)) == v == TUGame(n, map(Fraction, *zip(*pairs)))
+
+
+# What the bulk reader takes among strings: an integer or "p/q" with q > 0.
+_PLAIN_LITERAL = re.compile(r"[-+]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+# Strings of up to 6 characters over the reader's alphabet: drawn freely,
+# and as a sign, digits, a "/" and a tail, so that near misses such as
+# "5/", "/5", "-" and "1/-2" come up often.
+_PLAIN_ALPHABET_TEXTS = st.text("0123456789+-/", max_size=6) | st.builds(
+    lambda sign, p, slash, q: sign + p + slash + q,
+    st.sampled_from(["", "+", "-"]),
+    st.text("0123456789", max_size=2),
+    st.sampled_from(["", "/"]),
+    st.text("0123456789+-/", max_size=2),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        _PLAIN_ALPHABET_TEXTS | st.integers(-(10**6), 10**6) | st.booleans(),
+        max_size=8,
+    )
+)
+@example(["5/"])
+@example(["1", "5/", 2])
+@example(["-0/07", "+3", 4, "/5"])
+def test_the_bulk_reader_takes_exactly_integer_and_ratio_literals(values):
+    plain = not any(
+        type(x) is bool or type(x) is str and not _PLAIN_LITERAL.fullmatch(x)
+        for x in values
+    )
+    # Eight denominators below 10^5 have an lcm far below SCALE_CAP.
+    expected = _scale([gamefile._to_pair(x, "test") for x in values]) if plain else None
+    assert gamefile._plain_scaled(values) == expected
+
+
+def test_chunks_over_different_denominators_join_over_their_lcm():
+    # Only the last chunk holds ratios, so every chunk before it, the first
+    # 4096 literals among them, is read over 1 and brought to 14.
+    values = ["0"] + [str(S % 11 - 5) for S in range(1, 1 << 13)]
+    values[-3], values[-2] = "1/7", "-3/14"
+    text = json.dumps({"players": 13, "worths_by_mask": values})
+    v = parse_game_file(text)
+    assert gamefile._plain_scaled(values) == (14, list(v.scaled[1]))
+    assert v.worths == tuple(map(Fraction, values))
+
+
+def test_chunks_whose_lcm_passes_the_scale_cap_go_to_the_per_literal_reader():
+    # The primes nearest 2^200, one in the first chunk and one in the last:
+    # neither passes SCALE_CAP alone, their product does.
+    p, q = 2**200 - 75, 2**200 + 235
+    assert pow(3, p - 1, p) == 1 == pow(3, q - 1, q)
+    assert max(p, q) <= SCALE_CAP < p * q
+    values = ["0"] + [str(S % 11 - 5) for S in range(1, 1 << 13)]
+    values[1], values[-1] = f"1/{p}", f"-2/{q}"
+    assert gamefile._plain_scaled(values) is None
+    v = parse_game_file(json.dumps({"players": 13, "worths_by_mask": values}))
+    assert v.scaled == (1, tuple(map(Fraction, values)))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        14,
+        pytest.param(20, marks=pytest.mark.skipif(
+            os.environ.get("COOPVALS_SLOW_TESTS") != "1",
+            reason="set COOPVALS_SLOW_TESTS=1 to run the 20-player round trip",
+        )),
+    ],
+)
+def test_a_sampled_convex_file_round_trips_at_scale(n):
+    # At n = 14 the table spans 2^14 / _CHUNK chunks of the bulk reader.
+    config = SamplerConfig(n_min=n, n_max=n, class_filter="convex", count=1, seed=0)
+    (v,) = sample_games(config)
+    text = serialise_game(v)
+    assert serialise_game(parse_game_file(text)) == text

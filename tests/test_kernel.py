@@ -27,6 +27,7 @@ from coopvals import (
     SamplerConfig,
     TUGame,
     ValueResult,
+    additive_game,
     chi,
     classify,
     dual,
@@ -232,6 +233,11 @@ DECIDED_WITH = {
 @given(wide_games, st.permutations(CLASSES))
 # |S|^2 with v({2, 3}) raised: the only violated split is {1} + {2, 3}.
 @example(TUGame(3, (0, 1, 1, 4, 1, 4, Fraction(17, 2), 9)), CLASSES)
+# Convex and not monotonic: player 1 adds -1 to every coalition.
+@example(additive_game((-1, 2, 3)), CLASSES)
+# Not convex, and the only negative contribution is player 3's to {1, 2},
+# which no singleton entry of a marginal list shows.
+@example(TUGame(3, (0, 1, 1, 2, 1, 2, 2, 1)), CLASSES)
 def test_classify_matches_oracles(v, order):
     table = oracles.game_from_tugame(v)
     report = classify(v)
