@@ -45,10 +45,10 @@ class was never asked for.
 
 The functionals of this module evaluate to scaled pairs (L, X), as the
 game sweeps give them, and a BoundFunctional keeps that pair per game
-(fn._scaled(v)); fn(v) is its Fraction view, built once per game on first
-use.  Sums of bound vectors, the componentwise formulas (eta^mu, mu~, eta
-- mu, fn(v) + x) and every comparison of a check run on the pairs through
-the vector step of coopvals.game (_total, _share, _affine, _at_most,
+(fn._scaled(v)); fn(v) is its Fraction view, built from it on each call.
+Sums of bound vectors, the componentwise formulas (eta^mu, mu~, eta - mu,
+fn(v) + x) and every comparison of a check run on the pairs through the
+vector step of coopvals.game (_total, _share, _affine, _at_most,
 _first_failure), so a check builds no Fraction.  The witness of a failure
 keeps the pairs of its two sides, and lhs and rhs are views of them built
 on first read; its printed text is spelled from the pairs (Witness._text),
@@ -84,9 +84,9 @@ from .game import (
     _ratio,
     _reduced,
     _Scaled,
-    _scaled_vector,
     _share,
     _total,
+    _vector,
     _Views,
     as_fraction,
     in_class,
@@ -184,10 +184,7 @@ def _eta_from(v: TUGame, mu: _Scaled) -> _Scaled:
 
 def eta_from_lower(v: TUGame, mu: Sequence[Fraction]) -> BoundVector:
     """The residual upper bound eta^mu_i(v) = v(N) - sum_{j != i} mu_j(v)."""
-    mu = _scaled_vector(mu)
-    if len(mu[1]) != v.n:
-        raise CoopvalsError(f"lower bound must have {v.n} components, got {len(mu[1])}")
-    return _fractions(_eta_from(v, mu))
+    return _fractions(_eta_from(v, _vector(mu, v.n, "lower bound")))
 
 
 def mu_from_upper_vector(v: TUGame, eta: Sequence[Fraction]) -> BoundVector:
@@ -234,10 +231,10 @@ class BoundFunctional:
     evaluate(v) gives the bound vector as rationals, or as its scaled pair
     (L, X) as every functional of this module does.  Call the functional,
     fn(v), rather than fn.evaluate(v): evaluate runs once per game, and its
-    pair is kept in the game's memo, with the Fractions of fn(v) built from
-    it on first use.  Functionals compare and hash by identity, so they key
-    that memo even while evaluate is swapped in place (as instrumentation
-    does).
+    pair, refused unless it has one component per player, is kept in the
+    game's memo; fn(v) builds its Fractions.  Functionals compare and hash
+    by identity, so they key that memo even while evaluate is swapped in
+    place (as instrumentation does).
     """
 
     id: str
@@ -246,12 +243,12 @@ class BoundFunctional:
     is_regular_lower: bool | None = None
 
     def __call__(self, v: TUGame) -> BoundVector:
-        """evaluate(v) as Fractions, built once per game from its pair."""
-        return v.remember(("fractions", self), lambda: _fractions(self._scaled(v)))
+        """evaluate(v) as Fractions, built from its pair."""
+        return _fractions(self._scaled(v))
 
     def _scaled(self, v: TUGame) -> _Scaled:
-        """evaluate(v) as a scaled pair, computed once per game."""
-        return v.remember(self, lambda: _scaled_vector(self.evaluate(v)))
+        """evaluate(v) as a scaled pair of n components, once per game."""
+        return v.remember(self, lambda: _vector(self.evaluate(v), v.n, self.id))
 
     def shifted(self, v: TUGame) -> TUGame:
         """The game v - self(v), built once per game and vector, so two
@@ -374,7 +371,9 @@ def first_difference(
 ) -> Witness | None:
     """The first component i where holds(lhs[i], rhs[i]) fails, with both
     sides, or None when it holds everywhere.  The default asks lhs == rhs;
-    holds=le asks lhs <= rhs."""
+    holds=le asks lhs <= rhs; sides of unequal length are refused."""
+    if len(lhs) != len(rhs):
+        raise CoopvalsError(f"rhs must have {len(lhs)} components, got {len(rhs)}")
     # Over L = 1, holds sees the components as given.
     return _witness((1, tuple(lhs)), (1, tuple(rhs)), holds)
 
@@ -476,7 +475,7 @@ def check_translation_covariance(
     """Check fn(v + x) = fn(v) + x exactly for the given probe x, a vector
     of rationals or its scaled pair."""
     fn = functional(fn_id)
-    x = _scaled_vector(x)
+    x = _vector(x, v.n)
     lhs = fn._scaled(transform(v, 1, x))
     return CheckOutcome(
         f"translation_covariance:{fn.id}",

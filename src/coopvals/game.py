@@ -35,8 +35,9 @@ ints, so a Fraction is built only where a caller asks for one
 a witness, which _Views builds from its pair on first read.  Output needs
 none: _spelled writes a pair's components as str(Fraction) does, from the
 ints and one gcd each, for game files too.
-_scaled_vector takes a vector of rationals from a caller to its pair, and
-_reduced brings a pair to its least denominator.
+_scaled_vector takes a vector of rationals to its pair, and _reduced brings
+a pair to its least denominator; _vector, the one entry for a vector from a
+caller or a bound functional, also refuses any length but the game's.
 """
 
 from __future__ import annotations
@@ -291,6 +292,14 @@ def _scaled_vector(x: Union[_Scaled, Sequence[RationalLike]]) -> _Scaled:
         return x
     L, X = _scale(list(map(_ratio, x)))
     return L, tuple(X)
+
+
+def _vector(x: Sequence, n: int, what: str = "vector") -> _Scaled:
+    """_scaled_vector(x), refused unless it has n components."""
+    x = _scaled_vector(x)
+    if len(x[1]) != n:
+        raise CoopvalsError(f"{what} must have {n} components, got {len(x[1])}")
+    return x
 
 
 def _fractions(x: _Scaled) -> Allocation:
@@ -567,16 +576,15 @@ class TUGame:
     @cached_property
     def memo(self) -> dict:
         """Results derived from this game, keyed by what derived them: a bound
-        functional (by identity) for its scaled pair, ("fractions",
-        functional) for its Fractions, ("shifted", x) for the game v - x
-        and ("mu_from_upper", eta) for mu^eta, where x is the reduced pair
-        of a vector and eta the pair of an upper bound that some functional
-        gave on this game, "extreme marginals" for the Kikuta and Milnor
-        pairs of one marginal sweep (_extreme_marginals, or the pass that
-        decides monotonic and convex), a value name, or ("class", name)
-        for each name of CLASSES decided so far.  Keys
-        never come from caller-supplied vectors, so the memo is bounded by
-        the functionals, values and classes in the program."""
+        functional (by identity) for its scaled pair, ("shifted", x) for
+        the game v - x and ("mu_from_upper", eta) for mu^eta, where x is
+        the reduced pair of a vector and eta the pair of an upper bound
+        that some functional gave on this game, "extreme marginals" for the
+        Kikuta and Milnor pairs of one marginal sweep (_extreme_marginals,
+        or the pass that decides monotonic and convex), a value name, or
+        ("class", name) for each name of CLASSES decided so far.  Keys never
+        come from caller-supplied vectors, so the memo is bounded by the
+        functionals, values and classes in the program."""
         return {}
 
     def remember(self, key: Hashable, compute: Callable[[], T]) -> T:
@@ -601,9 +609,7 @@ def scaled_with(
     game and the n-vector x, given as rationals or as a scaled pair; (1, v,
     x) as Fractions when L would exceed SCALE_CAP."""
     L, W = v.scaled
-    x = _scaled_vector(x)
-    if len(x[1]) != v.n:
-        raise CoopvalsError(f"vector must have {v.n} components, got {len(x[1])}")
+    x = _vector(x, v.n)
     # A game held as Fractions has L = 1, so its table only meets the factor.
     common, ((factor,), X) = _common((L, (1,)), x)
     if factor != 1:

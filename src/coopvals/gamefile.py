@@ -54,7 +54,7 @@ import re
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import mul
-from typing import Tuple, Union
+from typing import NoReturn, Tuple, Union
 
 from .errors import ParseError, PlayerCountExceeded, TooFewPlayers
 from .game import TUGame, _denominator, _from_pairs, _spelled, player_cap
@@ -161,10 +161,10 @@ def _to_pair(value, where) -> Tuple[int, int]:
     )
 
 
-def _key_to_mask(key: str, n: int) -> int:
+def _refuse_key(key: str, n: int) -> NoReturn:
+    """Raise the ParseError that says why key names no coalition of n players."""
     if not isinstance(key, str) or not _KEY_RE.fullmatch(key):
         raise ParseError(f"bad coalition key {key!r}")
-    mask = 0
     previous = 0
     for token in key.split(","):
         # Keys have no leading zeros, so a token longer than n's digits names
@@ -179,8 +179,7 @@ def _key_to_mask(key: str, n: int) -> int:
                 f"coalition key {key!r} names player {token} of {n}"
             )
         previous = player
-        mask |= 1 << (player - 1)
-    return mask
+    raise ParseError(f"bad coalition key {key!r}")
 
 
 def parse_game_file(data: Union[bytes, str]) -> TUGame:
@@ -359,7 +358,7 @@ def _sparse_pairs(table: dict, n: int) -> list:
         for token in key.split(","):
             bit = bits.get(token, 0)
             if bit <= mask:  # not a player, or not above the ones before
-                _key_to_mask(key, n)  # raises the ParseError
+                _refuse_key(key, n)
             mask |= bit
         worths[mask] = _to_pair(value, ("worths", key))
     return worths

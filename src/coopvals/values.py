@@ -42,7 +42,6 @@ from . import bounds
 from .bounds import BoundFunctional, BoundVector, functional
 from .errors import (
     BoundOrderViolated,
-    CoopvalsError,
     DegenerateBounds,
     NotBalanced,
     NotInClass,
@@ -57,6 +56,7 @@ from .game import (
     _scaled_vector,
     _spelled,
     _total,
+    _vector,
     _Views,
     in_class,
 )
@@ -173,13 +173,6 @@ def _mix(
     return ValueResult._from_scaled(value_id, alloc, lam, mu, eta, route)
 
 
-def _as_vector(x: Sequence, n: int, what: str) -> _Scaled:
-    vec = _scaled_vector(x)
-    if len(vec[1]) != n:
-        raise CoopvalsError(f"{what} must have {n} components, got {len(vec[1])}")
-    return vec
-
-
 def compromise(
     v: TUGame,
     mu: Sequence,
@@ -194,8 +187,8 @@ def compromise(
     Raises BoundOrderViolated if mu exceeds eta in some component and
     NotBalanced if v(N) falls outside [sum(mu), sum(eta)].
     """
-    mu = _as_vector(mu, v.n, "lower bound")
-    eta = _as_vector(eta, v.n, "upper bound")
+    mu = _vector(mu, v.n, "lower bound")
+    eta = _vector(eta, v.n, "upper bound")
     scaled = _common(mu, eta, v._scaled_total)
     L, (M, E, (V,)) = scaled
     for i in range(v.n):

@@ -55,9 +55,9 @@ from .game import (
     _from_pairs,
     _scale,
     _Scaled,
-    _scaled_vector,
     _share,
     _total,
+    _vector,
     additive_table,
     as_fraction,
     dual,
@@ -148,7 +148,7 @@ def check_axiom(
         raise PreconditionNotMet(f"mu(v) != 0 for {value_id}")
     if axiom_id == "Covariance":
         scale, shift = probe if probe is not None else _default_probe(v.n)
-        scale, shift = as_fraction(scale), _scaled_vector(shift)
+        scale, shift = as_fraction(scale), _vector(shift, v.n)
     alloc = f(v)._scaled
 
     if axiom_id == "Efficiency":
@@ -461,14 +461,6 @@ def _random_shift(rng: random.Random, n: int) -> _Scaled:
     return L, tuple(shift)
 
 
-def _pair_check(mu, eta) -> Callable[[TUGame], Witness | None]:
-    return lambda v: bounds.check_bound_pair(v, mu, eta).witness
-
-
-def _axiom(axiom_id: str, value_id: str) -> Callable[[TUGame], Witness | None]:
-    return lambda v: check_axiom(axiom_id, value_id, v).witness
-
-
 def _is_defined(f: Callable[[TUGame], values.ValueResult], v: TUGame) -> bool:
     try:
         f(v)
@@ -548,7 +540,7 @@ def run_suite_on_games(
     for (mu, eta), pred in _POSITIVE_PAIRS:
         checks.append(_tally(
             f"bound_pair:{functional(mu).id},{functional(eta).id}",
-            games, _pair_check(mu, eta),
+            games, lambda v: bounds.check_bound_pair(v, mu, eta).witness,
             scope=None if pred is None else [pred(v) for v in games],
         ))
     # With one player EtaTrivial is v(N) = v({1}): translation covariant, and
@@ -557,8 +549,8 @@ def run_suite_on_games(
     if negative_fixtures:
         checks.append(_tally(
             "bound_pair:IndividualWorths,EtaTrivial", games,
-            _pair_check("IndividualWorths", "EtaTrivial"), expected_negative=True,
-            scope=multi,
+            lambda v: bounds.check_bound_pair(v, "IndividualWorths", "EtaTrivial").witness,
+            expected_negative=True, scope=multi,
         ))
         checks.append(_tally(
             "regular_lower:ConstantOne", games,
@@ -595,11 +587,12 @@ def run_suite_on_games(
     for vid in values.VALUES:
         applies = [v for v, ok in zip(games, defined[vid]) if ok]
         checks.append(_tally(
-            f"axiom:Efficiency:{vid}", games, _axiom("Efficiency", vid),
-            scope=defined[vid],
+            f"axiom:Efficiency:{vid}", games,
+            lambda v: check_axiom("Efficiency", vid, v).witness, scope=defined[vid],
         ))
         checks.append(_tally(
-            f"axiom:MinimalRights:{vid}", applies, _axiom("MinimalRights", vid),
+            f"axiom:MinimalRights:{vid}", applies,
+            lambda v: check_axiom("MinimalRights", vid, v).witness,
             (PreconditionNotMet, TooFewPlayers),
         ))
         prop = "EgalitarianDivision" if vid in values.LBC_FAMILY else "RestrictedProportionality"

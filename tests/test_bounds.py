@@ -10,6 +10,7 @@ from hypothesis import given, settings
 import oracles
 from conftest import g_a, games
 from coopvals import (
+    CoopvalsError,
     NonCovariantUpperBound,
     NotInClass,
     TooFewPlayers,
@@ -208,6 +209,8 @@ def test_first_difference_finds_the_first_failing_component():
     assert first_difference(lhs, rhs, ge) == Witness(2, lhs, rhs)
     assert first_difference(lhs, lhs) is None
     assert first_difference(rhs, (Fraction(4),) * 3, le) is None
+    with pytest.raises(CoopvalsError, match="rhs must have 2 components, got 3"):
+        first_difference((1, 2), (1, 2, 3))
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,13 +28,19 @@ from coopvals import (
     TUGame,
     ValueResult,
     additive_game,
+    check_axiom,
+    check_bound_pair,
+    check_translation_covariance,
     chi,
     classify,
+    compromise,
     dual,
     eansc,
     is_strongly_upper_bounded,
+    is_regular_lower,
     kikuta_lower,
     km,
+    lbc_value,
     membership,
     milnor_upper,
     run_suite,
@@ -508,7 +514,7 @@ def test_derived_games_build_no_fraction_per_coalition():
     assert len(built) == 1 << n
 
 
-@pytest.mark.parametrize(
+_THREE_PLAYERS = pytest.mark.parametrize(
     "v",
     [
         build_game(3, {1: 1, 2: 1, 4: 1, 7: 3}),
@@ -517,6 +523,25 @@ def test_derived_games_build_no_fraction_per_coalition():
     ],
     ids=["ints", "fractions"],
 )
+
+
+def _returning(x):
+    """A bound functional F, flagged covariant and regular, that gives x."""
+    return BoundFunctional("F", lambda v: x, True, True)
+
+
+# The checks and values that read a functional F, as a lower or an upper
+# bound, called with F first.
+_FUNCTIONAL_USES = {
+    "bound_pair": lambda v, F: check_bound_pair(v, F, "MilnorUpper"),
+    "membership": lambda v, F: membership(v, F, "MilnorUpper"),
+    "regular_lower": is_regular_lower,
+    "lbc_value": lbc_value,
+    "ubc_value": ubc_value,
+}
+
+
+@_THREE_PLAYERS
 @pytest.mark.parametrize("length", [2, 4])
 @pytest.mark.parametrize(
     "use",
@@ -527,15 +552,35 @@ def test_derived_games_build_no_fraction_per_coalition():
         subtract_allocation,
         lambda v, x: transform(v, 2, x),
         eta_from_lower,
+        lambda v, x: compromise(v, x, (9, 9, 9)),
+        lambda v, x: compromise(v, (0, 0, 0), x),
+        lambda v, x: check_translation_covariance("KikutaLower", v, x),
+        lambda v, x: check_axiom("Covariance", "tau", v, probe=(1, x)),
+        *(
+            lambda v, x, use=use: use(v, _returning(x))
+            for use in _FUNCTIONAL_USES.values()
+        ),
     ],
     ids=[
         "excess_table", "strong_upper", "mu_from_upper", "subtract", "transform",
-        "eta_from_lower",
+        "eta_from_lower", "compromise_lower", "compromise_upper",
+        "translation_covariance", "axiom_probe", *_FUNCTIONAL_USES,
     ],
 )
 def test_a_vector_of_the_wrong_length_is_refused(v, length, use):
     with pytest.raises(CoopvalsError, match=f"must have 3 components, got {length}"):
         use(v, (1,) * length)
+
+
+@_THREE_PLAYERS
+@pytest.mark.parametrize("length", [2, 4])
+@pytest.mark.parametrize("use", _FUNCTIONAL_USES.values(), ids=list(_FUNCTIONAL_USES))
+def test_a_zero_functional_of_the_wrong_length_is_refused(v, length, use):
+    # A short zero vector meets every inequality on the components it has,
+    # so only its length can refuse it.
+    with pytest.raises(CoopvalsError) as caught:
+        use(v, _returning((0,) * length))
+    assert str(caught.value) == f"F must have 3 components, got {length}"
 
 
 def _game_and_two_vectors(n):
