@@ -472,15 +472,19 @@ def check_translation_covariance(
     v: TUGame,
     x: Sequence[Fraction],
 ) -> CheckOutcome:
-    """Check fn(v + x) = fn(v) + x exactly for the given probe x, a vector
-    of rationals or its scaled pair."""
+    """Check fn(v + x) = fn(v) + x exactly for the given probe x (rationals or
+    a scaled pair); the suite runs this check on one shared v + x per game."""
     fn = functional(fn_id)
     x = _vector(x, v.n)
-    lhs = fn._scaled(transform(v, 1, x))
-    return CheckOutcome(
-        f"translation_covariance:{fn.id}",
-        _witness(lhs, _affine(1, fn._scaled(v), x)),
-    )
+    witness = _translation_covariance(fn, v, transform(v, 1, x), x)
+    return CheckOutcome(f"translation_covariance:{fn.id}", witness)
+
+
+def _translation_covariance(
+    fn: BoundFunctional, v: TUGame, moved: TUGame, x: _Scaled
+) -> Witness | None:
+    """The witness of fn(moved) != fn(v) + x, for moved the game v + x."""
+    return _witness(fn._scaled(moved), _affine(1, fn._scaled(v), x))
 
 
 @dataclass(frozen=True)

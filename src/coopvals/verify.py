@@ -20,7 +20,9 @@ game leaves the value's class.
 
 Every check compares scaled pairs (L, X) in ints: the bound vectors of the
 functionals, the allocations as values._mix formed them, and the shift
-probes, drawn as ints over one denominator.  A witness keeps its sides as
+probes, drawn as ints over one denominator: one x and one (a, y) per game,
+whose games v + x and a * v + y the suite's rows share, held by the suite
+(never by v.memo) until those rows are done.  A witness keeps its sides as
 pairs too, and builds their Fractions only when they are read;
 SuiteReport.to_dict prints the first witness of each row, spelled from its
 pairs with no Fraction.
@@ -125,6 +127,15 @@ def _derived(
         ) from None
 
 
+def _covariance(
+    value_id: str, v: TUGame, moved: TUGame, scale: Fraction, shift: _Scaled
+) -> Witness | None:
+    """The witness of f(moved) != scale * f(v) + shift, moved = scale * v + shift."""
+    f = _value(value_id)
+    moved_alloc = _derived(f, value_id, "transformed", moved)
+    return _witness(moved_alloc, _affine(scale, f(v)._scaled, shift))
+
+
 def check_axiom(
     axiom_id: str,
     value_id: str,
@@ -167,8 +178,7 @@ def check_axiom(
         L, A = alloc
         witness = _witness(alloc, (L, (A[0],) * v.n))
     elif axiom_id == "Covariance":
-        moved = _derived(f, value_id, "transformed", transform(v, scale, shift))
-        witness = _witness(moved, _affine(scale, alloc, shift))
+        witness = _covariance(value_id, v, transform(v, scale, shift), scale, shift)
     elif axiom_id == "SelfDuality":
         witness = _witness(_derived(f, value_id, "dual", dual(v)), alloc)
     else:  # IndividualRationality
@@ -520,11 +530,12 @@ def run_suite_on_games(
     """Run every check block over the given games; fully deterministic.
 
     Probes for covariance checks are drawn from a generator seeded by the
-    seed argument, independent of the game sampler.  If convex_games is
-    None, coincidence checks run on the convex members of games.  Expected
-    negative fixtures are sample-level diagnostics (they must fail at least
-    once across the whole batch); negative_fixtures=False omits them, which
-    is what single-game checks want.
+    seed argument, independent of the game sampler: one shift and one (a, y)
+    probe per game, each shared by its rows (see the module docstring).  If
+    convex_games is None, coincidence checks run on the convex members of
+    games.  Expected negative fixtures are sample-level diagnostics (they
+    must fail at least once across the whole batch); negative_fixtures=False
+    omits them, which is what single-game checks want.
 
     A game outside a value's class counts in two ways.  The Efficiency,
     Covariance, SelfDuality and IndividualRationality rows count it as
@@ -559,16 +570,18 @@ def run_suite_on_games(
         ))
 
     # Translation covariance of every registry functional, checked against
-    # its registry flag; one random shift is drawn per game, skipped or not.
+    # its registry flag; every row runs on one game v + x per game.
+    shifts = [_random_shift(rng, v.n) for v in games]
+    shifted = [(v, transform(v, 1, x), x) for v, x in zip(games, shifts)]
     for fn_id, fn in bounds.REGISTRY.items():
         if fn.is_translation_covariant or negative_fixtures:
-            shifted = [(v, _random_shift(rng, v.n)) for v in games]
             checks.append(_tally(
                 f"covariance_functional:{fn_id}", shifted,
-                lambda case: bounds.check_translation_covariance(fn, *case).witness,
+                lambda case: bounds._translation_covariance(fn, *case),
                 (TooFewPlayers,), expected_negative=not fn.is_translation_covariant,
                 scope=multi if fn_id == "EtaTrivial" else None,
             ))
+    del shifted
 
     # Regularity of the flagged regular lower bounds on their classes.
     for fn_id, fn in bounds.REGISTRY.items():
@@ -603,18 +616,21 @@ def run_suite_on_games(
             (PreconditionNotMet, NotInClass, TooFewPlayers),
         ))
 
-    # A Covariance row draws every game's probe, skipped games included, so
-    # the generator's stream does not depend on which games are in class.
-    scales = _COVARIANCE_SCALES
+    # Every game's probe is drawn, so the stream does not depend on classes;
+    # the tau and chi rows share a * v + x, built where either is defined.
+    probed = []
+    for k, v in enumerate(games):
+        a, x = _COVARIANCE_SCALES[k % len(_COVARIANCE_SCALES)], _random_shift(rng, v.n)
+        covered = defined["tau"][k] or defined["chi"][k]
+        probed.append((v, transform(v, a, x) if covered else None, a, x))
     for axiom_id, vid in _VALUE_AXIOM_ROWS:
-        probes = [
-            (scales[k % len(scales)], _random_shift(rng, v.n))
-            if axiom_id == "Covariance" else None
-            for k, v in enumerate(games)
-        ]
+        if axiom_id == "Covariance":
+            cases, row = probed, lambda case: _covariance(vid, *case)
+        else:
+            probed = None  # the Covariance rows are done: release their games
+            cases, row = games, lambda v: check_axiom(axiom_id, vid, v).witness
         checks.append(_tally(
-            f"axiom:{axiom_id}:{vid}", zip(games, probes),
-            lambda case: check_axiom(axiom_id, vid, case[0], probe=case[1]).witness,
+            f"axiom:{axiom_id}:{vid}", cases, row,
             (PreconditionNotMet,), scope=defined[vid],
         ))
 

@@ -6,6 +6,7 @@ from operator import ge, le
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import g_a, games
@@ -41,10 +42,12 @@ from coopvals import (
     milnor_upper,
     minimal_rights,
     mu_from_upper,
+    transform,
     unanimity_game,
     zero_lower,
 )
-from coopvals.bounds import first_difference
+from coopvals.bounds import _translation_covariance, first_difference
+from coopvals.game import _vector
 
 
 def test_named_functionals_on_worked_games(g2, g6):
@@ -250,6 +253,33 @@ def test_translation_covariance_probe(g6):
     assert ok.passed
     bad = check_translation_covariance("EtaTrivial", g6, (1, 2, 3))
     assert not bad.passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(games(n_min=1, n_max=4), st.data())
+def test_the_public_and_suite_covariance_checks_agree(v, data):
+    # The suite checks every functional on one game v + x per game; the
+    # public check builds its own.  With x nonzero, the three functionals
+    # flagged not covariant fail whichever x is drawn (EtaTrivial from two
+    # players on), so the expected-negative rows fail on every game.
+    x = data.draw(st.lists(
+        st.fractions(-6, 6, max_denominator=3), min_size=v.n, max_size=v.n
+    ).filter(any))
+    moved, pair = transform(v, 1, x), _vector(x, v.n)
+    negatives = {fn.id for fn in REGISTRY.values() if not fn.is_translation_covariant}
+    assert negatives == {"ZeroLower", "EtaTrivial", "ConstantOne"}
+    for fn in REGISTRY.values():
+        try:
+            public = check_translation_covariance(fn, v, x).witness
+        except TooFewPlayers:
+            with pytest.raises(TooFewPlayers):
+                _translation_covariance(fn, v, moved, pair)
+            continue
+        assert public == _translation_covariance(fn, v, moved, pair)
+        if fn.id not in negatives:
+            assert public is None
+        elif fn.id != "EtaTrivial" or v.n >= 2:
+            assert public is not None
 
 
 def test_membership_family_flags():

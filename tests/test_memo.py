@@ -42,7 +42,7 @@ from coopvals import (
     subtract_allocation,
     transform,
 )
-from coopvals import cli, game
+from coopvals import cli, game, verify
 from coopvals.bounds import MU_FROM_MILNOR
 from coopvals.verify import CLASS_FILTERS
 
@@ -259,6 +259,52 @@ def test_kikuta_and_milnor_come_from_one_marginal_sweep(monkeypatch):
     assert VALUES["km"](fresh).lower_used == low
     assert sliced == one_pass
     assert (low, high) == (kikuta_lower(v), milnor_upper(v))
+
+
+@pytest.mark.parametrize("negative_fixtures", [True, False])
+@pytest.mark.parametrize("class_filter", ["convex", "any"])
+def test_the_suite_shares_one_probe_game_per_game_and_row_kind(
+    class_filter, negative_fixtures, monkeypatch
+):
+    # Every covariance_functional row runs on one game v + x per game, and
+    # the tau and chi Covariance rows on one game a * v + x, built where
+    # either value is defined (on every convex game).
+    config = SamplerConfig(n_min=4, n_max=4, class_filter=class_filter, count=8, seed=2)
+    batch = sample_games(config)
+    built = []
+    original = verify.transform
+
+    def counting(v, scale, shift):
+        moved = original(v, scale, shift)
+        built.append((v, scale, moved))
+        return moved
+
+    swept = Counter()
+    listed = game._marginal_list
+
+    def counting_lists(W, i):
+        swept[id(W)] += 1
+        return listed(W, i)
+
+    monkeypatch.setattr(verify, "transform", counting)
+    monkeypatch.setattr(game, "_marginal_list", counting_lists)
+    run_suite_on_games(batch, negative_fixtures=negative_fixtures)
+    covered = [
+        verify._is_defined(VALUES["tau"], v) or verify._is_defined(VALUES["chi"], v)
+        for v in batch
+    ]
+    if class_filter == "convex":
+        assert all(covered)
+    else:
+        assert 0 < sum(covered) < len(batch)
+    assert Counter(id(v) for v, _, _ in built) == {
+        id(v): 1 + ok for v, ok in zip(batch, covered)
+    }
+    # The v + x games come first, one per game in order.  Kikuta and Milnor
+    # share one sweep of each, one marginal list per player.
+    shifted = built[:len(batch)]
+    assert [(id(v), scale) for v, scale, _ in shifted] == [(id(v), 1) for v in batch]
+    assert all(swept[id(moved.scaled[1])] == moved.n for _, _, moved in shifted)
 
 
 GOLDEN = Path(__file__).parent / "golden"
