@@ -29,12 +29,12 @@ Fractions) past SCALE_CAP; a scalar is a pair with a 1-tuple.  The sweeps
 give their vectors as pairs (the singleton and marginal vectors, v(N),
 Kikuta and Milnor, mu^x), _total, _affine and _share add, shift and
 spread pairs into pairs, and _common brings the pairs of one formula to
-the lcm of their L.  Comparisons (_first_failure, _at_most) run on the
-ints, so a Fraction is built only where a caller asks for one
-(_fractions): a public bound vector, or a field of a value's result or of
-a witness, which _Views builds from its pair on first read.  Output needs
-none: _spelled writes a pair's components as str(Fraction) does, from the
-ints and one gcd each, for game files too.
+the lcm of their L.  Comparisons (_first_failure, _at_most) take X_i * J
+against Y_i * K for (K, X) and (J, Y), so a Fraction is built only where a
+caller asks for one (_fractions): a public bound vector, or a field of a
+value's result or of a witness, which _Views builds from its pair on first
+read.  Output needs none: _spelled writes a pair's components as
+str(Fraction) does, from the ints and one gcd each, for game files too.
 _scaled_vector takes a vector of rationals to its pair, and _reduced brings
 a pair to its least denominator; _vector, the one entry for a vector from a
 caller or a bound functional, also refuses any length but the game's.
@@ -109,6 +109,7 @@ Allocation = Tuple[Fraction, ...]
 # A scaled vector (L, X): x_i = X[i] / L.
 _Scaled = Tuple[int, tuple]
 T = TypeVar("T")
+_MISSING = object()
 
 _NOT_A_PATTERN = "a coalition is an int bit pattern"
 
@@ -346,14 +347,17 @@ def _common(*parts: _Scaled) -> Tuple[int, list]:
 def _first_failure(
     x: _Scaled, y: _Scaled, holds: Callable[[int, int], bool] = eq
 ) -> int | None:
-    """The first i where holds(x_i, y_i) fails, compared in ints over the
-    common denominator of two pairs, or None.  holds must not change under
-    scaling both sides by one positive int, as ==, <= and >= do not."""
-    _, (X, Y) = _common(x, y)
-    for i, (a, b) in enumerate(zip(X, Y)):
-        if not holds(a, b):
-            return i
-    return None
+    """The first i where holds(x_i, y_i) fails, or None: X_i * J against
+    Y_i * K for x = (K, X) and y = (J, Y), or X_i against Y_i when K = J, with
+    no common denominator.  Exact on ints and on the Fractions past SCALE_CAP,
+    as K, J > 0 and holds (==, <=, >=) is unchanged by positive scaling."""
+    (K, X), (J, Y) = x, y
+    if K != J:
+        X, Y = map(mul, X, repeat(J)), map(mul, Y, repeat(K))
+    elif holds is eq and X == Y:
+        return None
+    verdicts = list(map(holds, X, Y))
+    return verdicts.index(False) if False in verdicts else None
 
 
 def _at_most(x: _Scaled, y: _Scaled) -> bool:
@@ -589,10 +593,10 @@ class TUGame:
 
     def remember(self, key: Hashable, compute: Callable[[], T]) -> T:
         """memo[key], computed by compute() on first use."""
-        memo = self.memo
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
+        value = self.memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self.memo[key] = compute()
+        return value
 
 
 def _from_pairs(n: int, pairs: Sequence[Tuple[int, int]], labels=None) -> TUGame:
@@ -775,15 +779,13 @@ def _derived_lower(v: TUGame, x: _Scaled) -> _Scaled:
     """mu^x: for each player i, x_i plus the max of v(S) - x(S) over the S
     that contain i.
 
-    With e the excess table over its denominator L and v({i}) = W_i / K on
-    the game's own denominator, L * x_i = L * v({i}) - e({i}), so mu^x_i =
-    ((m_i - e({i})) * K + W_i * L) / (L * K) for m_i the max of e over the S
-    containing i.
+    With e the excess table over its denominator L, mu^x_i = x_i + m_i / L
+    for m_i the max of e over the S containing i, which _affine adds to x
+    over L (below SCALE_CAP, L is a multiple of x's denominator).
     """
     L, e = excess_table(v, x)
-    K, W = v.scaled
-    tops = (max(max(e[up]) for up, _ in _slices(len(e), i)) for i in range(v.n))
-    return L * K, tuple((m - e[1 << i]) * K + W[1 << i] * L for i, m in enumerate(tops))
+    tops = tuple(max(max(e[up]) for up, _ in _slices(len(e), i)) for i in range(v.n))
+    return _affine(1, _scaled_vector(x), (L, tops))
 
 
 def _marginal_list(W: Sequence, i: int) -> list:

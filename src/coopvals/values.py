@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import le
 from typing import Callable, Sequence, Tuple, Union
 
 from . import bounds
@@ -51,6 +52,7 @@ from .game import (
     TUGame,
     _at_most,
     _common,
+    _first_failure,
     _fractions,
     _Scaled,
     _scaled_vector,
@@ -191,12 +193,13 @@ def compromise(
     eta = _vector(eta, v.n, "upper bound")
     scaled = _common(mu, eta, v._scaled_total)
     L, (M, E, (V,)) = scaled
-    for i in range(v.n):
-        if M[i] > E[i]:
-            raise BoundOrderViolated(
-                f"lower bound exceeds upper bound at player {i + 1}: "
-                f"{Fraction(M[i], L)} > {Fraction(E[i], L)}"
-            )
+    # Over the L that _mix needs anyway, the comparison takes no product.
+    i = _first_failure((L, M), (L, E), le)
+    if i is not None:
+        raise BoundOrderViolated(
+            f"lower bound exceeds upper bound at player {i + 1}: "
+            f"{Fraction(M[i], L)} > {Fraction(E[i], L)}"
+        )
     s_mu, s_eta = sum(M), sum(E)
     if not s_mu <= V <= s_eta:
         raise NotBalanced(

@@ -53,7 +53,6 @@ from .game import (
     TUGame,
     _affine,
     _at_most,
-    _common,
     _from_pairs,
     _scale,
     _Scaled,
@@ -168,11 +167,11 @@ def check_axiom(
         inner = _derived(f, value_id, "shifted", mu_fn.shifted(v))
         witness = _witness(alloc, _affine(1, inner, mu_fn._scaled(v)))
     elif axiom_id == "RestrictedProportionality":
-        # f_i * sum(eta) against sum(f) * eta_i, both over L * L.
-        L, (A, E) = _common(alloc, eta_fn._scaled(v))
-        s_alloc, s_eta, LL = sum(A), sum(E), L * L
+        # f_i * sum(eta) against sum(f) * eta_i, both over K * J.
+        (K, A), (J, E) = alloc, eta_fn._scaled(v)
+        s_alloc, s_eta, KJ = sum(A), sum(E), K * J
         witness = _witness(
-            (LL, tuple(a * s_eta for a in A)), (LL, tuple(s_alloc * e for e in E))
+            (KJ, tuple(a * s_eta for a in A)), (KJ, tuple(s_alloc * e for e in E))
         )
     elif axiom_id == "EgalitarianDivision":
         L, A = alloc

@@ -332,6 +332,26 @@ def _fermat_convex(n):
     ])
 
 
+@pytest.mark.parametrize("v, eta, game_as_ints", [
+    # Each under SCALE_CAP, their common denominator past it: a game held as
+    # ints over 3^60 and an eta over F5 * F6 * F7.
+    (
+        TUGame(3, [Fraction(S * S - 5, 3**60) if S else 0 for S in range(8)]),
+        (Fraction(1, FERMAT[5]), Fraction(-2, FERMAT[6]), Fraction(3, FERMAT[7])),
+        True,
+    ),
+    # A game held as Fractions past SCALE_CAP, and an int eta.
+    (_fermat_convex(3), (1, -2, 3), False),
+])
+def test_mu_from_upper_where_the_cap_is_passed_partway(v, eta, game_as_ints):
+    assert all(type(c) is int for c in _scaled_vector(eta)[1])
+    assert all(type(c) is int for c in v.scaled[1]) == game_as_ints
+    # The excess table is held as Fractions, and mu^x adds its maxima to eta.
+    assert excess_table(v, eta)[0] == 1
+    expected = oracles.mu_from_upper(oracles.game_from_tugame(v), _keyed(eta))
+    assert mu_from_upper_vector(v, eta) == _vec(expected)
+
+
 @settings(max_examples=80, deadline=None)
 @given(wide_games)
 # Past SCALE_CAP: a convex table, and the same with v({1, 2}) lowered, so
@@ -598,6 +618,13 @@ def _game_and_two_vectors(n):
     (Fraction(1, FERMAT[9]), Fraction(-3, FERMAT[5])),
     (Fraction(7, FERMAT[9]), Fraction(1, FERMAT[4])),
 ))
+# An int pair against a pair held as Fractions past SCALE_CAP, compared by
+# cross-multiplying: <= first fails at index 1, and >= at index 0.
+@example((
+    TUGame(2, (0, 1, Fraction(1, 2), 3)),
+    (Fraction(-1, 2), Fraction(5, 3)),
+    (Fraction(1, FERMAT[9]), Fraction(1, FERMAT[8])),
+))
 def test_vector_step_matches_fraction_arithmetic(drawn):
     v, x, y = drawn
     xs, ys = _scaled_vector(x), _scaled_vector(y)
@@ -614,6 +641,10 @@ def test_vector_step_matches_fraction_arithmetic(drawn):
     assert _first_failure(xs, ys) == next(
         (i for i, (a, b) in enumerate(zip(x, y)) if a != b), None
     )
+    for holds in (le, ge):
+        assert _first_failure(xs, ys, holds) == next(
+            (i for i, (a, b) in enumerate(zip(x, y)) if not holds(a, b)), None
+        )
 
     vN, total = v.total, sum(x, Fraction(0))
     assert _fractions(_total(xs)) == (total,)

@@ -67,6 +67,10 @@ def test_compromise_rejects_bad_brackets(g6):
     with pytest.raises(BoundOrderViolated) as err:
         compromise(g6, (6, 1, 2), (5, 5, 5))
     assert "player 1" in str(err.value)
+    # Bounds on different denominators: the message spells both sides reduced.
+    with pytest.raises(BoundOrderViolated) as err:
+        compromise(g6, (1, F(7, 2), 0), (F(4, 3), 3, 5))
+    assert str(err.value) == "lower bound exceeds upper bound at player 2: 7/2 > 3"
     with pytest.raises(NotBalanced):
         compromise(g6, (3, 3, 3), (3, 3, 4))
     with pytest.raises(CoopvalsError):
