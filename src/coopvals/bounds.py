@@ -81,6 +81,7 @@ from .game import (
     _first_failure,
     _fractions,
     _max_excess,
+    _mu_from,
     _ratio,
     _reduced,
     _Scaled,
@@ -204,15 +205,12 @@ def mu_from_upper(v: TUGame, eta_id: Union[str, "BoundFunctional"]) -> BoundVect
 
 
 def _mu_from_upper(v: TUGame, fn: "BoundFunctional") -> _Scaled:
-    """mu^eta as a pair, kept in v.memo under ("mu_from_upper", eta) for the
-    pair eta of fn on v, so two functionals that give one pair on v (M and
-    Milnor on a convex game) share one sweep."""
+    """mu^eta as a pair for the pair eta of fn on v, kept by game._mu_from."""
     if not fn.is_translation_covariant:
         raise NonCovariantUpperBound(
             f"{fn.id} is not translation covariant; cannot derive a lower bound"
         )
-    eta = fn._scaled(v)
-    return v.remember(("mu_from_upper", eta), lambda: _derived_lower(v, eta))
+    return _mu_from(v, fn._scaled(v))
 
 
 def minimal_rights(v: TUGame) -> BoundVector:

@@ -788,6 +788,11 @@ def _derived_lower(v: TUGame, x: _Scaled) -> _Scaled:
     return _affine(1, _scaled_vector(x), (L, tops))
 
 
+def _mu_from(v: TUGame, eta: _Scaled) -> _Scaled:
+    """_derived_lower(v, eta), kept in v.memo under ("mu_from_upper", eta)."""
+    return v.remember(("mu_from_upper", eta), lambda: _derived_lower(v, eta))
+
+
 def _marginal_list(W: Sequence, i: int) -> list:
     """W[S + i] - W[S] for each S avoiding player i, as the runs of the
     slices of _slices joined in order (faster to build than placed in
@@ -893,7 +898,8 @@ _CLASS_TESTS: dict[str, Callable[[TUGame], bool]] = {
     "convex": lambda v: _marginal_pass(v)[1],
     "essential": lambda v: in_class(v, "weakly-essential") and in_class(v, "M-upper"),
     "weakly-essential": lambda v: _at_most(_total(v._singletons), v._scaled_total),
-    "semi-balanced": lambda v: _at_most(_max_excess(v, v._marginals), (1, (0,))),
+    # m <= M: each m_i <= M_i is v(S) <= M(S) for the S that contain i.
+    "semi-balanced": lambda v: _at_most(_mu_from(v, v._marginals), v._marginals),
     "M-lower": lambda v: _at_most(_total(v._marginals), v._scaled_total),
     "M-upper": lambda v: _at_most(v._scaled_total, _total(v._marginals)),
 }

@@ -15,7 +15,9 @@ gamma_i = mu_i + (v(N) - sum(mu)) / n.  A UBC value starts from a
 translation covariant upper bound eta and pairs it with the derived
 mu^eta.  The named values are tau, chi, Gately, CIS, PANSC, EANSC, the
 Egalitarian value, and the KM value; each reports the bound vectors it
-used and its class guard failures as NotInClass errors.
+used.  tau, chi, CIS, Egalitarian and KM are compromise of their
+AXIOM_PAIRS pair, so each refuses a game that is not bound-balanced for it
+by naming the inequality that failed; Gately and PANSC keep their guards.
 
 The functions here only compute: they guard their inputs and trust the
 registry flags, and each named value is computed once per game and read
@@ -249,29 +251,25 @@ def ubc_value(
     return compromise(v, mu, eta, value_id=value_id or f"ubc:{fn.id}")
 
 
-def tau(v: TUGame) -> ValueResult:
-    """The compromise of minimal rights and marginal contributions.
+def _bracketed(v: TUGame, key: str, value_id: str | None = None) -> ValueResult:
+    """compromise of the pair AXIOM_PAIRS[key] on v, kept in v.memo under key."""
+    return v.remember(key, lambda: compromise(
+        v, *(functional(fn)._scaled(v) for fn in AXIOM_PAIRS[key]),
+        value_id=value_id or key,
+    ))
 
-    Defined on semi-balanced games, which are exactly the games strongly
-    bounded by the marginal vector.
-    """
-    if not in_class(v, "semi-balanced"):
-        raise NotInClass("semi-balanced")
-    return v.remember(
-        "tau", lambda: ubc_value(v, "MarginalContributions", value_id="tau")
-    )
+
+def tau(v: TUGame) -> ValueResult:
+    """The compromise of minimal rights m and marginal contributions M,
+    defined where m <= M (the semi-balanced games) and sum(m) <= v(N)."""
+    return _bracketed(v, "tau")
 
 
 def chi(v: TUGame) -> ValueResult:
-    """The compromise value derived from the Milnor upper bound.
-
-    Every game is strongly bounded by the Milnor vector, and the derived
-    lower bound is the vector of individual worths, so the class guard is
-    weak essentiality: sum of singleton worths <= v(N).
-    """
-    if not in_class(v, "weakly-essential"):
-        raise NotInClass("weakly-essential")
-    return v.remember("chi", lambda: ubc_value(v, "MilnorUpper", value_id="chi"))
+    """The compromise of mu^eta and eta for the Milnor upper bound eta.  On
+    every game mu^eta <= eta and mu^eta is the vector of individual worths,
+    so chi is defined exactly on the weakly essential games."""
+    return _bracketed(v, "chi")
 
 
 def gately(v: TUGame) -> ValueResult:
@@ -299,7 +297,7 @@ def _gately(v: TUGame) -> ValueResult:
 
 def cis(v: TUGame) -> ValueResult:
     """CIS_i = v_i + (v(N) - sum_j v_j) / n, on games with imputations."""
-    return v.remember("cis", lambda: lbc_value(v, "IndividualWorths", value_id="cis"))
+    return _bracketed(v, "cis")
 
 
 def pansc(v: TUGame) -> ValueResult:
@@ -334,9 +332,7 @@ def _pansc(v: TUGame) -> ValueResult:
 
 def egalitarian(v: TUGame) -> ValueResult:
     """The equal split v(N)/n, defined for v(N) >= 0."""
-    return v.remember(
-        "egal", lambda: lbc_value(v, "ZeroLower", value_id="egalitarian")
-    )
+    return _bracketed(v, "egal", "egalitarian")
 
 
 def eansc(v: TUGame) -> ValueResult:
@@ -364,17 +360,14 @@ def km(v: TUGame) -> ValueResult:
     Total on all games: the telescoping chain argument puts v(N) between
     the two bound sums for every game.
     """
-    return v.remember("km", lambda: compromise(
-        v, functional("KikutaLower")._scaled(v), functional("MilnorUpper")._scaled(v),
-        value_id="km",
-    ))
+    return _bracketed(v, "km")
 
 
 # CLI and verification registries.  AXIOM_PAIRS names each value's (mu, eta)
-# pair, the only place that does: the axiom checks (verify._pair), the suite's
-# bound-pair rows (verify._POSITIVE_PAIRS) and `bounds --pair` (cli.PAIR_MAP)
-# read it.  LBC_FAMILY marks the values whose proportionality axiom is
-# egalitarian division rather than eta-proportionality.
+# pair, the only place that does: _bracketed, the axiom checks (verify._pair),
+# the suite's bound-pair rows (verify._POSITIVE_PAIRS) and `bounds --pair`
+# (cli.PAIR_MAP) read it.  LBC_FAMILY marks the values whose proportionality
+# axiom is egalitarian division rather than eta-proportionality.
 VALUES = {
     "tau": tau,
     "chi": chi,

@@ -116,11 +116,11 @@ def _pair(value_id: str) -> Tuple[BoundFunctional, BoundFunctional]:
 def _derived(
     f: Callable[[TUGame], values.ValueResult], value_id: str, what: str, game: TUGame
 ) -> _Scaled:
-    """f's allocation pair on a game derived from v; a derived game outside
-    the value's class fails the axiom's precondition rather than the axiom."""
+    """f's allocation pair on a game derived from v; a derived game that the
+    value refuses fails the axiom's precondition rather than the axiom."""
     try:
         return f(game)._scaled
-    except NotInClass as exc:
+    except DomainError as exc:
         raise PreconditionNotMet(
             f"{what} game leaves the class of {value_id}: {exc}"
         ) from None
@@ -144,7 +144,7 @@ def check_axiom(
 ) -> CheckOutcome:
     """Check one axiom for one named value on one game, exactly.
 
-    Raises NotInClass when the value is undefined on v and
+    Raises the value's DomainError when it is undefined on v and
     PreconditionNotMet when the axiom's own hypothesis fails (for example
     mu(v) != 0 for the proportionality axioms); callers treat the latter
     as a skip.  The probe (scale, shift) is used by Covariance only.
@@ -505,7 +505,8 @@ def _eansc_route_agreement(v: TUGame) -> Witness | None:
 
 
 def _semi_balanced_order(v: TUGame) -> Witness | None:
-    """The semi-balanced quantifier agrees with the order m(v) <= M(v).
+    """The coalition-wise test v(S) <= M(S) for every nonempty S agrees
+    with the order m(v) <= M(v), by which in_class decides semi-balanced.
 
     Each R_i(S, v) <= M_i rearranges to the coalition bound and conversely.
     The bound-sum bracket sum(m) <= v(N) <= sum(M) is not equivalent: with
@@ -514,7 +515,7 @@ def _semi_balanced_order(v: TUGame) -> Witness | None:
     """
     M = v._marginals
     m = bounds.REGISTRY["MinimalRights"]._scaled(v)
-    if in_class(v, "semi-balanced") == _at_most(m, M):
+    if bounds.is_strongly_upper_bounded(v, M) == _at_most(m, M):
         return None
     return Witness._from_scaled(0, m, M)
 

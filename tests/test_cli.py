@@ -54,7 +54,7 @@ def test_compute_cis(game_file, capsys):
 def test_compute_domain_error_goes_to_stdout(game_file, capsys):
     assert main(["compute", "--game", game_file(G6), "--value", "tau"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "not applicable: semi-balanced\n"
+    assert captured.out == "lower bound exceeds upper bound at player 1: 4 > 2\n"
     assert captured.err == ""
 
 
@@ -87,7 +87,7 @@ def test_report_table(game_file, capsys):
     assert lines[1] == "v(N): 8"
     assert lines[2].startswith("classes: monotonic=true, superadditive=true")
     body = "\n".join(lines)
-    assert "tau: not applicable: semi-balanced" in body
+    assert "tau: lower bound exceeds upper bound at player 1: 4 > 2" in body
     assert "gately: not applicable: essential" in body
     assert (
         "km: 27/11 27/11 34/11 (approx 2.45455 2.45455 3.09091) "
@@ -104,7 +104,9 @@ def test_report_json_schema(game_file, capsys):
     assert set(doc["values"]) == {
         "tau", "chi", "gately", "cis", "pansc", "eansc", "egal", "km"
     }
-    assert doc["values"]["tau"] == {"error": "not applicable: semi-balanced"}
+    assert doc["values"]["tau"] == {
+        "error": "lower bound exceeds upper bound at player 1: 4 > 2"
+    }
     assert doc["values"]["cis"]["allocation"] == ["7/3", "7/3", "10/3"]
 
 

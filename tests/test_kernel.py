@@ -275,6 +275,8 @@ def test_classify_matches_oracles(v, order):
         kept = {("class", c) for c in asked}
         if asked & {"monotonic", "convex"}:
             kept.add("extreme marginals")
+        if "semi-balanced" in asked:  # decided as m <= M, on the kept m
+            kept.add(("mu_from_upper", fresh._marginals))
         assert set(fresh.memo) <= kept
     kikuta, milnor = fresh.memo["extreme marginals"]
     assert (_fractions(kikuta), _fractions(milnor)) == tuple(
@@ -425,7 +427,7 @@ def test_chi_km_eansc_match_oracles(v):
     assert eansc(v).allocation == _vec(oracles.eansc_vector(table))
     expected = oracles.chi_vector(table)
     if expected is None:
-        with pytest.raises(NotInClass):
+        with pytest.raises(NotBalanced):
             chi(v)
     else:
         assert chi(v).allocation == _vec(expected)

@@ -313,16 +313,18 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize(
     "name, argv, tables",
     [
-        ("dense8", ["report", "--format", "json"], 2),
+        ("dense8", ["report", "--format", "json"], 1),
         ("majority5", ["report", "--format", "json"], 2),
         ("dense8", ["bounds", "--pair", "tau"], 2),
         ("dense8", ["bounds", "--pair", "chi"], 2),
+        ("majority5", ["compute", "--value", "tau", "--format", "json"], 1),
     ],
 )
 def test_each_excess_table_is_built_once(name, argv, tables, monkeypatch, capsys):
-    # Semi-balancedness, mu^M, mu^Milnor and b_hat each need one table over
-    # all 2^n coalitions; strong upper-boundedness is read off mu^eta <= eta.
-    # mu^M and mu^Milnor share one when M = Milnor, as on the convex dense8.
+    # mu^M, mu^Milnor and b_hat each need one table over all 2^n coalitions;
+    # semi-balancedness is read off m = mu^M <= M, and strong
+    # upper-boundedness off mu^eta <= eta.  mu^M and mu^Milnor share one
+    # when M = Milnor, as on the convex dense8.
     built = []
     original = game.excess_table
 
@@ -332,6 +334,12 @@ def test_each_excess_table_is_built_once(name, argv, tables, monkeypatch, capsys
 
     monkeypatch.setattr(game, "excess_table", counting)
     path = str(GOLDEN / f"{name}_game.json")
-    assert cli.main([*argv[:1], "--game", path, *argv[1:]]) == 0
-    capsys.readouterr()
+    code = cli.main([*argv[:1], "--game", path, *argv[1:]])
+    out = capsys.readouterr().out
+    if argv[0] == "compute":  # tau refuses majority5: m_1 = 1 > M_1 = 0
+        assert (code, out) == (
+            1, "lower bound exceeds upper bound at player 1: 1 > 0\n"
+        )
+    else:
+        assert code == 0
     assert len(built) == tables

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -22,6 +22,7 @@ from coopvals import (
     REGISTRY,
     SamplerConfig,
     TooFewPlayers,
+    TUGame,
     VALUES,
     additive_game,
     build_game,
@@ -109,9 +110,10 @@ def test_tau_on_worked_games(g2, g6):
     assert r.allocation == (F(3, 2), F(3, 2), 5)
     assert r.lower_used == (1, 1, 4)
     assert r.upper_used == (2, 2, 6)
-    with pytest.raises(NotInClass) as err:
+    # g6 is not semi-balanced: m = (4, 4, 0) and M = (2, 2, 2).
+    with pytest.raises(BoundOrderViolated) as err:
         tau(g6)
-    assert "semi-balanced" in str(err.value)
+    assert str(err.value) == "lower bound exceeds upper bound at player 1: 4 > 2"
     # The bound-sum bracket sum(m) <= v(N) <= sum(M) does not make a game
     # semi-balanced: here m = (0, 0, 1) and M = (3, 3, 0), so m_3 > M_3.
     bracketed = build_game(3, {0b100: 1, 0b011: 3, 0b111: 3})
@@ -119,9 +121,9 @@ def test_tau_on_worked_games(g2, g6):
     assert (m, M) == ((0, 0, 1), (3, 3, 0))
     assert sum(m) <= bracketed.total <= sum(M)
     assert not in_class(bracketed, "semi-balanced")
-    with pytest.raises(NotInClass) as err:
+    with pytest.raises(BoundOrderViolated) as err:
         tau(bracketed)
-    assert str(err.value) == str(NotInClass("semi-balanced"))
+    assert str(err.value) == "lower bound exceeds upper bound at player 3: 1 > 0"
 
 
 def test_chi_and_km_on_worked_game(g6):
@@ -141,9 +143,10 @@ def test_unanimity_values(u12):
 
 def test_chi_requires_weak_essentiality():
     v = build_game(2, {0b01: 3, 0b10: 3, 0b11: 4})
-    with pytest.raises(NotInClass) as err:
+    assert not in_class(v, "weakly-essential")
+    with pytest.raises(NotBalanced) as err:
         chi(v)
-    assert "weakly-essential" in str(err.value)
+    assert str(err.value) == "v(N) = 4 is outside the bound bracket [6, 6]"
 
 
 def test_gately_worked_and_guards(g4, zero3):
@@ -194,8 +197,14 @@ def test_cis_and_egalitarian(g6, g8):
     assert cis(g6).allocation == (F(7, 3), F(7, 3), F(10, 3))
     assert cis(g8).allocation == (F(7, 3), F(7, 3), F(10, 3))
     assert egalitarian(g6).allocation == (F(8, 3), F(8, 3), F(8, 3))
-    with pytest.raises(NotInClass):
+    # v(N) < 0: the zero lower bound exceeds the upper bound (v(N), v(N)).
+    with pytest.raises(BoundOrderViolated) as err:
         egalitarian(build_game(2, {0b11: -2}))
+    assert str(err.value) == "lower bound exceeds upper bound at player 1: 0 > -2"
+    # sum(nu) = 6 > v(N) = 4: eta' = nu + (v(N) - sum(nu)) = (1, 1) < nu.
+    with pytest.raises(BoundOrderViolated) as err:
+        cis(build_game(2, {0b01: 3, 0b10: 3, 0b11: 4}))
+    assert str(err.value) == "lower bound exceeds upper bound at player 1: 3 > 1"
 
 
 def test_additive_game_values():
@@ -231,14 +240,106 @@ def test_km_total_bracketed_and_self_dual(v):
 @given(games(n_min=2, n_max=3))
 def test_tau_matches_oracle_when_defined(v):
     table = oracles.game_from_tugame(v)
+    m, M = oracles.minimal_rights_vector(table), oracles.marginal_vector(table)
     try:
         r = tau(v)
-    except (NotInClass, NotBalanced):
-        # semi-balanced in the coalition-wise sense does not force the
-        # bracket sum(m) <= v(N); the engine refuses the mix there
+    except (BoundOrderViolated, NotBalanced):
+        # Refused exactly off the games on which (m, M) is bound-balanced;
+        # semi-balancedness (m <= M) does not force sum(m) <= v(N).
+        assert not _bound_balanced(m, M, v.total)
         return
     expected = oracles.tau_vector(table)
     assert list(r.allocation) == [expected[i + 1] for i in range(v.n)]
+
+
+def _bound_balanced(lower, upper, total):
+    """mu <= eta and sum(mu) <= v(N) <= sum(eta), for vectors keyed by player."""
+    return all(lower[i] <= upper[i] for i in lower) and (
+        sum(lower.values()) <= total <= sum(upper.values())
+    )
+
+
+def _oracle_pairs(table):
+    """Each value's (mu, eta) built by the oracles, keyed like AXIOM_PAIRS."""
+    players = oracles.players_of(table)
+    total = table[frozenset(players)]
+    kikuta, milnor = oracles.extreme_marginal_vectors(table)
+    M = oracles.marginal_vector(table)
+    nu = {i: table[frozenset({i})] for i in players}
+    zero = {i: F(0) for i in players}
+    return {
+        "tau": (oracles.minimal_rights_vector(table), M),
+        "chi": (oracles.mu_from_upper(table, milnor), milnor),
+        "cis": (nu, {i: total - sum(nu.values()) + nu[i] for i in players}),
+        "egal": (zero, {i: total for i in players}),
+        "km": (kikuta, milnor),
+        "gately": (nu, M),
+        "pansc": (zero, M),
+    }
+
+
+def _int_game(worths):
+    """The game with v(S) = worths[S] for the masks S of 1..2^n - 1."""
+    return TUGame(len(worths).bit_length(), (F(0), *map(F, worths)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(games(n_min=1, n_max=4, den=1))
+# v(N) = sum(mu), mu != eta: for tau, chi and Gately, with m = nu = (3, 1, -1)
+# and M = Milnor = (5, 2, 1).
+@example(_int_game([3, 1, 2, -1, 1, -2, 3]))
+# v(N) = sum(mu) for chi: sum(nu) = v(N) = 3 while Milnor = (2, 2, 1).
+@example(_int_game([1, 1, 3, 1, 2, 2, 3]))
+# v(N) = sum(eta), mu != eta: for PANSC, on the additive game x = (1, 2), and
+# for egal with one player, (0, v(N)).
+@example(_int_game([1, 2, 3]))
+@example(_int_game([2]))
+# mu = eta for tau on a game that is not additive: m = M = (1, 0, 2).
+@example(_int_game([-1, 0, 1, 2, 3, 2, 3]))
+def test_each_value_is_defined_exactly_on_its_bound_balanced_games(v):
+    # tau, chi, cis, egal and km are compromise of their pair, so each is
+    # defined exactly where the oracles' pair is bound-balanced.  Gately and
+    # PANSC are defined there and beyond; EANSC and KM are total.
+    table = oracles.game_from_tugame(v)
+    for vid, (mu, eta) in _oracle_pairs(table).items():
+        balanced = _bound_balanced(mu, eta, v.total)
+        try:
+            VALUES[vid](v)
+            defined = True
+        except DomainError:
+            defined = False
+        if vid in ("gately", "pansc"):
+            assert defined or not balanced, vid
+        else:
+            assert defined == balanced, vid
+    assert _bound_balanced(*_oracle_pairs(table)["km"], v.total)
+    eansc(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CLASS_FILTERS), st.integers(1, 5), st.integers(0, 2**32))
+def test_named_values_match_the_construction_methods(class_filter, n, seed):
+    # The paper's two construction methods, run through lbc_value and
+    # ubc_value, rebuild tau, chi, CIS and the Egalitarian value: the same
+    # allocation, weight and bounds, and the same games refused.
+    config = SamplerConfig(n_min=n, n_max=n, class_filter=class_filter, count=5, seed=seed)
+    constructions = {
+        tau: lambda v: ubc_value(v, "MarginalContributions"),
+        chi: lambda v: ubc_value(v, "MilnorUpper"),
+        cis: lambda v: lbc_value(v, "IndividualWorths"),
+        egalitarian: lambda v: lbc_value(v, "ZeroLower"),
+    }
+    for v in sample_games(config):
+        for named, built in constructions.items():
+            sides = []
+            for f in (named, built):
+                try:
+                    r = f(TUGame(v.n, v.worths))
+                except DomainError:
+                    sides.append(None)
+                else:
+                    sides.append((r.allocation, r.lam, r.lower_used, r.upper_used))
+            assert sides[0] == sides[1], named.__name__
 
 
 # The identities below are proven, not re-derived on every call; these

@@ -107,7 +107,8 @@ def test_axiom_refusal_order():
     with pytest.raises(PreconditionNotMet) as caught:
         check_axiom("SelfDuality", "chi", unanimity)
     assert str(caught.value) == (
-        "dual game leaves the class of chi: not applicable: weakly-essential"
+        "dual game leaves the class of chi: "
+        "v(N) = 1 is outside the bound bracket [2, 2]"
     )
 
 
