@@ -51,8 +51,9 @@ fn(v) + x) and every comparison of a check run on the pairs through the
 vector step of coopvals.game (_total, _share, _affine, _at_most,
 _first_failure), so a check builds no Fraction.  The witness of a failure
 keeps the pairs of its two sides, and lhs and rhs are views of them built
-on first read; its printed text is spelled from the pairs (Witness._text),
-so a check suite that reports one witness per row builds no Fraction.  The
+on first read; its printed text is spelled from the pairs (by
+SuiteReport.to_dict, all of a report's witnesses at once), so a check
+suite that reports one witness per row builds no Fraction.  The
 game v - fn(v) is kept per game under the reduced pair of fn(v), so the
 functionals with one vector on v (on a convex game, Kikuta's bound, the
 individual worths and mu^Milnor) share one shifted game and its sweeps.

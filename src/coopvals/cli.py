@@ -16,10 +16,12 @@ default; the limit guards against quadratic-time conversion and is not
 lifted).  Output is written only once a command has finished, so a command
 that fails prints no partial result.
 Rationals are printed as p/q strings, str() of the Fraction, spelled from
-the scaled pairs of the results with no Fraction; table mode adds decimal
-approximations to six significant digits, computed exactly outside the
-normal float range (past it, and nonzero values below 2.2e-308).  All JSON
-output is byte-deterministic for a fixed input and seed.
+the scaled pairs of the results with no Fraction, all the results of a
+document in one call; table mode adds decimal approximations to six
+significant digits, computed exactly outside the normal float range (past
+it, and nonzero values below 2.2e-308).  JSON output is json.dumps(doc, indent=2)
+byte for byte, written by gamefile._json_text, and byte-deterministic for
+a fixed input and seed.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ import functools
 import io
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from fractions import Fraction
 
 from . import bounds, values, verify
 from .errors import CoopvalsError, DomainError
 from .game import _spelled, _total, classify
-from .gamefile import _games_text, game_doc, parse_game_file
+from .gamefile import _games_text, _json_text, game_doc, parse_game_file
 
 # `bounds --pair`: the pairs values declares; for eansc, its (mu~, M) route.
 PAIR_MAP = {
@@ -93,51 +95,61 @@ def _bool(flag) -> str:
     return "true" if flag else "false"
 
 
-def _result_doc(result: values.ValueResult) -> dict:
-    return {
-        "value": result.value_id,
-        "allocation": result._text("allocation"),
-        "lambda": result._lam_text(),
-        "lower": result._text("lower_used"),
-        "upper": result._text("upper_used"),
-        "route": result.route,
-    }
+def _fields(report) -> dict:
+    """The fields of a flag report by name, in order: asdict with no deep copy."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
+
+
+def _result_docs(results: list) -> list:
+    """The document of each result, all spelled by one _spelled call."""
+    pairs = []
+    for r in results:  # no weight is the pair (1, ()), spelled as []
+        lam = (1, ()) if r._lam is None else (r._lam[1], r._lam[:1])
+        pairs += (r._scaled, lam, r._lower, r._upper)
+    texts = iter(_spelled(*pairs))
+    return [
+        {"value": r.value_id, "allocation": allocation, "lambda": lam[0] if lam else None,
+         "lower": lower, "upper": upper, "route": r.route}
+        for r, (allocation, lam, lower, upper) in zip(results, zip(texts, texts, texts, texts))
+    ]
 
 
 def cmd_report(args) -> int:
     v = _load_game(args.game)
-    report = classify(v)
-    (total,) = _spelled(v._scaled_total)
+    classes = _fields(classify(v))
     rows = {}
     for vid, fn in values.VALUES.items():
         try:
             rows[vid] = fn(v)
         except DomainError as exc:
             rows[vid] = str(exc)
+    computed = [vid for vid, r in rows.items() if isinstance(r, values.ValueResult)]
+    docs = dict(zip(computed, _result_docs([rows[vid] for vid in computed])))
+    [[total]] = _spelled(v._scaled_total)
 
     if args.format == "json":
         doc = {
             "players": v.n,
             "labels": None if v.labels is None else list(v.labels),
             "total": total,
-            "classification": asdict(report),
+            "classification": classes,
             "values": {
-                vid: (_result_doc(r) if isinstance(r, values.ValueResult) else {"error": r})
+                vid: docs[vid] if vid in docs else {"error": r}
                 for vid, r in rows.items()
             },
         }
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
         return 0
 
     print(f"players: {v.n}")
     if v.labels is not None:
         print(f"labels: {' '.join(v.labels)}")
     print(f"v(N): {total}")
-    flags = ", ".join(f"{k}={_bool(x)}" for k, x in asdict(report).items())
+    flags = ", ".join(f"{k}={_bool(x)}" for k, x in classes.items())
     print(f"classes: {flags}")
     for vid, r in rows.items():
-        if isinstance(r, values.ValueResult):
-            doc = _result_doc(r)
+        if vid in docs:
+            doc = docs[vid]
             print(
                 f"{vid}: {_vec(doc['allocation'])} (approx {_approx(r.allocation)}) "
                 f"lambda={doc['lambda'] or 'none'} lower=[{_vec(doc['lower'])}] "
@@ -151,9 +163,9 @@ def cmd_report(args) -> int:
 def cmd_compute(args) -> int:
     v = _load_game(args.game)
     result = values.VALUES[args.value](v)
-    doc = _result_doc(result)
+    (doc,) = _result_docs([result])
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
         return 0
     print(_vec(doc["allocation"]))
     print(f"approx: {_approx(result.allocation)}")
@@ -170,31 +182,31 @@ def cmd_bounds(args) -> int:
     mu_id, eta_id = PAIR_MAP[args.pair]
     mu_fn, eta_fn = bounds.functional(mu_id), bounds.functional(eta_id)
     mu, eta = mu_fn._scaled(v), eta_fn._scaled(v)
-    (sum_mu,), (sum_eta,), (total,) = map(
-        _spelled, (_total(mu), _total(eta), v._scaled_total)
+    mu_text, eta_text, (sum_mu,), (sum_eta,), (total,) = _spelled(
+        mu, eta, _total(mu), _total(eta), v._scaled_total
     )
     membership = bounds.membership(v, mu_fn, eta_fn)
     # The MembershipReport fields, named once for both formats.
-    flags = {k.removeprefix("in_"): x for k, x in asdict(membership).items()}
+    flags = {k.removeprefix("in_"): x for k, x in _fields(membership).items()}
 
     if args.format == "json":
         doc = {
             "pair": args.pair,
             "mu_id": mu_fn.id,
             "eta_id": eta_fn.id,
-            "mu": _spelled(mu),
-            "eta": _spelled(eta),
+            "mu": mu_text,
+            "eta": eta_text,
             "sum_mu": sum_mu,
             "sum_eta": sum_eta,
             "total": total,
             **flags,
         }
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
         return 0
 
     print(f"pair: {args.pair} ({mu_fn.id}, {eta_fn.id})")
-    print(f"mu: {_vec(_spelled(mu))} (approx {_approx(mu_fn(v))})")
-    print(f"eta: {_vec(_spelled(eta))} (approx {_approx(eta_fn(v))})")
+    print(f"mu: {_vec(mu_text)} (approx {_approx(mu_fn(v))})")
+    print(f"eta: {_vec(eta_text)} (approx {_approx(eta_fn(v))})")
     print(f"sum_mu: {sum_mu}")
     print(f"sum_eta: {sum_eta}")
     print(f"v(N): {total}")
@@ -205,7 +217,7 @@ def cmd_bounds(args) -> int:
 
 def _print_suite(report: verify.SuiteReport, fmt: str) -> int:
     if fmt == "json":
-        print(json.dumps(report.to_dict(), indent=2))
+        print(_json_text(report.to_dict()))
     else:
         for c in report.checks:
             status = "OK" if c.ok else "FAIL"

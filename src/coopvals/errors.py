@@ -94,11 +94,31 @@ class NotInClass(DomainError):
 
 
 class BoundOrderViolated(DomainError):
-    """Some component of the lower bound exceeds the upper bound."""
+    """Some component of the lower bound exceeds the upper bound; raised as
+    (i, L, low, high) for low / L > high / L at player i + 1, and spelled
+    only if read."""
+
+    def __str__(self) -> str:
+        if len(self.args) != 4:  # raised with its text
+            return super().__str__()
+        from .game import _spelled  # game imports this module
+
+        i, L, low, high = self.args
+        [[low, high]] = _spelled((L, (low, high)))
+        return f"lower bound exceeds upper bound at player {i + 1}: {low} > {high}"
 
 
 class NotBalanced(DomainError):
-    """v(N) lies outside the bracket between the bound sums."""
+    """v(N) lies outside the bracket between the bound sums; raised as (L,
+    total, low, high), v(N) = total / L, and spelled only if read."""
+
+    def __str__(self) -> str:
+        if len(self.args) != 4:  # raised with its text
+            return super().__str__()
+        from .game import _spelled
+
+        [[total, low, high]] = _spelled((self.args[0], self.args[1:]))
+        return f"v(N) = {total} is outside the bound bracket [{low}, {high}]"
 
 
 class DegenerateBounds(DomainError):
@@ -110,4 +130,12 @@ class SamplerExhausted(DomainError, RuntimeError):
 
 
 class PreconditionNotMet(DomainError):
-    """A checked axiom precondition fails; the check is a skip, not a failure."""
+    """A checked axiom precondition fails; the check is a skip, not a failure.
+
+    Raised as (what, value_id, cause) when the value refuses the derived
+    game ("dual", say) with cause, and spelled only if the text is read."""
+
+    def __str__(self) -> str:
+        if len(self.args) != 3:
+            return super().__str__()
+        return "{} game leaves the class of {}: {}".format(*self.args)

@@ -33,8 +33,9 @@ the lcm of their L.  Comparisons (_first_failure, _at_most) take X_i * J
 against Y_i * K for (K, X) and (J, Y), so a Fraction is built only where a
 caller asks for one (_fractions): a public bound vector, or a field of a
 value's result or of a witness, which _Views builds from its pair on first
-read.  Output needs none: _spelled writes a pair's components as
-str(Fraction) does, from the ints and one gcd each, for game files too.
+read.  Output needs none: _spelled writes the components of any number
+of pairs as str(Fraction) does, from the ints and one gcd each, in one set
+of maps, for a whole document's numbers and for game files.
 _scaled_vector takes a vector of rationals to its pair, and _reduced brings
 a pair to its least denominator; _vector, the one entry for a vector from a
 caller or a bound functional, also refuses any length but the game's.
@@ -46,7 +47,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import gcd, lcm
 from operator import add, eq, floordiv, ge, le, mul, sub
 from typing import (
@@ -309,19 +310,27 @@ def _fractions(x: _Scaled) -> Allocation:
     return tuple(Fraction(c, L) for c in X)
 
 
-def _spelled(x: _Scaled) -> list:
-    """[str(c) for c in _fractions(x)], with no Fraction for a pair of ints:
-    each X[i] over its gcd g with L, then "/" and L // g unless g = L, in
-    maps over the whole vector, with one suffix per distinct g.  Through
-    _fractions when L or X holds a Fraction, as past SCALE_CAP."""
-    L, X = x
-    if {type(L), *map(type, X)} != {int}:
-        return [str(c) for c in _fractions(x)]
-    if L == 1:
-        return list(map(str, X))
-    G = list(map(gcd, X, repeat(L)))
-    suffix = {g: "" if g == L else f"/{L // g}" for g in set(G)}
-    return list(map(add, map(str, map(floordiv, X, G)), map(suffix.__getitem__, G)))
+def _spelled(*pairs: _Scaled) -> list:
+    """[[str(c) for c in _fractions(x)] for x in pairs], with no Fraction
+    when every pair is of ints: each component X[i] of a pair (L, X) over
+    its gcd g with L, then "/" and d = L // g unless d = 1, in maps over the
+    components of all the pairs at once, with one suffix per distinct d.
+    Through _fractions when some L or X holds a Fraction, as past SCALE_CAP."""
+    X = list(chain.from_iterable(x for _, x in pairs))
+    Ls = {L for L, _ in pairs}
+    if {*map(type, Ls), *map(type, X)} - {int}:
+        return [[str(c) for c in _fractions(x)] for x in pairs]
+    if Ls == {1}:
+        texts = list(map(str, X))
+    else:
+        each = list(chain.from_iterable(repeat(L, len(x)) for L, x in pairs))
+        G = list(map(gcd, X, each))
+        D = list(map(floordiv, each, G))
+        suffix = {d: f"/{d}" for d in set(D)}
+        suffix[1] = ""
+        texts = list(map(add, map(str, map(floordiv, X, G)), map(suffix.__getitem__, D)))
+    ends = list(accumulate(len(x) for _, x in pairs))
+    return [texts[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _common(*parts: _Scaled) -> Tuple[int, list]:
@@ -413,8 +422,7 @@ class _Views:
     given and stores each pair too, over 1: (1, the field).  So every
     instance holds its pairs.  ==, hash, repr and pickling read the fields.
     A view is a pure function of the state, so two threads that build one
-    field at once leave it correct.  _text spells a vector field for
-    output from its pair.
+    field at once leave it correct.
     """
 
     _PAIRS: dict = {}
@@ -442,11 +450,6 @@ class _Views:
             )
         self.__dict__[name] = value
         return value
-
-    def _text(self, name: str) -> list:
-        """[str(x) for x in the vector field name], spelled from its pair by
-        _spelled, with no Fraction for a pair of ints."""
-        return _spelled(self.__dict__[self._PAIRS[name]])
 
 
 @dataclass(frozen=True, init=False)

@@ -43,8 +43,10 @@ for byte.  One writer makes it for serialise_game and, as the items of a
 JSON list, for `coopvals sample --format json`: the keys of the nonzero
 coalitions, picked from one key table, and their worths, spelled in one
 pass, are joined into the worths object as one string, with no dict and
-no encoder call; the labels and the player count go through
-json.dumps(indent=2).
+no encoder call; the labels and the player count go through _json_text,
+which writes every JSON document of the command line tool as
+json.dumps(doc, indent=2) does, with json's C string encoder and without
+its pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import compress, repeat
+from json.encoder import encode_basestring_ascii as _quoted
 from operator import mul
 from typing import NoReturn, Tuple, Union
 
@@ -387,12 +390,55 @@ def _worth_items(v: TUGame) -> Tuple[list, list]:
     order: the keys picked from one key table of every coalition, the worths
     spelled by _spelled in one pass."""
     L, W = v.scaled
-    return list(compress(_key_table(0, v.n), W)), _spelled((L, list(compress(W, W))))
+    (texts,) = _spelled((L, list(compress(W, W))))
+    return list(compress(_key_table(0, v.n), W)), texts
 
 
 def game_doc(v: TUGame) -> dict:
     """The canonical sparse JSON document for v (zero worths omitted)."""
     return {**_head(v), "worths": dict(zip(*_worth_items(v)))}
+
+
+# The text of a leaf of a document by its exact type, as json.dumps writes it.
+_LEAVES = {
+    str: _quoted,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_text(doc, pad: str = "") -> str:
+    """json.dumps(doc, indent=2), byte for byte, with every line after the
+    first indented by pad more, as when doc is nested at that depth.
+
+    Keys and strings go through json's own encode_basestring_ascii, ints
+    through int.__repr__, a list of leaves of one type through one map, and
+    tuples as lists.  Raises TypeError on a float, on a key that is not a
+    str (which json.dumps would convert) and on any other type.
+    """
+    leaf = _LEAVES.get(type(doc))
+    if leaf is not None:
+        return leaf(doc)
+    inner = pad + "  "
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        kinds = {*map(type, doc)}
+        leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(leaf, doc) if leaf else [_json_text(x, inner) for x in doc]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        members = []
+        for key, x in doc.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            leaf = _LEAVES.get(type(x))
+            members.append(_quoted(key) + ": " + (leaf(x) if leaf else _json_text(x, inner)))
+        return "{\n" + inner + (",\n" + inner).join(members) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
 def _doc_text(v: TUGame, pad: str = "") -> str:
@@ -403,12 +449,11 @@ def _doc_text(v: TUGame, pad: str = "") -> str:
     The worths object is one join of its items, with no dict and no
     encoder: a key and a spelled worth hold only digits, ",", "/" and "-",
     which json writes as they are.  The members before it go through
-    json.dumps(indent=2).
+    _json_text.
     """
     inner = pad + "  "
     members = [
-        f"{json.dumps(key)}: " + json.dumps(value, indent=2).replace("\n", "\n" + inner)
-        for key, value in _head(v).items()
+        _quoted(key) + ": " + _json_text(value, inner) for key, value in _head(v).items()
     ]
     keys, texts = _worth_items(v)
     if keys:

@@ -58,7 +58,6 @@ from .game import (
     _fractions,
     _Scaled,
     _scaled_vector,
-    _spelled,
     _total,
     _vector,
     _Views,
@@ -134,14 +133,6 @@ class ValueResult(_Views):
             _lower=lower, _upper=upper,
         )
 
-    def _lam_text(self) -> str | None:
-        """str(lam), or None when there is no weight; spelled from (num,
-        den) by _spelled."""
-        if self._lam is None:
-            return None
-        num, den = self._lam
-        return _spelled((den, (num,)))[0]
-
 
 def _mix(
     v: TUGame,
@@ -198,16 +189,10 @@ def compromise(
     # Over the L that _mix needs anyway, the comparison takes no product.
     i = _first_failure((L, M), (L, E), le)
     if i is not None:
-        raise BoundOrderViolated(
-            f"lower bound exceeds upper bound at player {i + 1}: "
-            f"{Fraction(M[i], L)} > {Fraction(E[i], L)}"
-        )
+        raise BoundOrderViolated(i, L, M[i], E[i])
     s_mu, s_eta = sum(M), sum(E)
     if not s_mu <= V <= s_eta:
-        raise NotBalanced(
-            f"v(N) = {v.total} is outside the bound bracket "
-            f"[{Fraction(s_mu, L)}, {Fraction(s_eta, L)}]"
-        )
+        raise NotBalanced(L, V, s_mu, s_eta)
     return _mix(v, mu, eta, value_id, route, scaled)
 
 

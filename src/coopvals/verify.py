@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, ge
 from typing import Any, Callable, Iterable, Sequence, Tuple
 
@@ -57,6 +57,7 @@ from .game import (
     _scale,
     _Scaled,
     _share,
+    _spelled,
     _total,
     _vector,
     additive_table,
@@ -121,9 +122,7 @@ def _derived(
     try:
         return f(game)._scaled
     except DomainError as exc:
-        raise PreconditionNotMet(
-            f"{what} game leaves the class of {value_id}: {exc}"
-        ) from None
+        raise PreconditionNotMet(what, value_id, exc) from None
 
 
 def _covariance(
@@ -397,14 +396,14 @@ class SuiteReport:
         return all(c.ok for c in self.checks)
 
     def to_dict(self) -> dict:
+        # Every witness's sides, spelled in one call and read in row order.
+        witnesses = [c.witness for c in self.checks if c.witness is not None]
+        sides = iter(_spelled(*chain.from_iterable((w._lhs, w._rhs) for w in witnesses)))
+
         def witness_dict(w: Witness | None):
             if w is None:
                 return None
-            return {
-                "component": w.component,
-                "lhs": w._text("lhs"),
-                "rhs": w._text("rhs"),
-            }
+            return {"component": w.component, "lhs": next(sides), "rhs": next(sides)}
 
         return {
             "seed": self.seed,

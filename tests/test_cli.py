@@ -1,8 +1,10 @@
 """End-to-end CLI behaviour through main(argv)."""
 
 import contextlib
+import functools
 import io
 import json
+import os
 import pickle
 import tempfile
 from fractions import Fraction
@@ -18,8 +20,9 @@ from coopvals import (
     sample_games, serialise_game,
 )
 from coopvals.cli import (
-    PAIR_MAP, _approx, _result_doc, _sampler_config, _scientific, build_parser, main,
+    PAIR_MAP, _approx, _result_docs, _sampler_config, _scientific, build_parser, main,
 )
+from coopvals.game import _spelled
 
 G6 = {
     "players": 3,
@@ -391,6 +394,65 @@ def test_output_matches_golden(argv, golden, capsys):
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 
+# The sampled convex games of `sample --filter convex --n N --count 1
+# --seed 0`, pinned by their report and check output; the game itself is
+# sampled here, so no 2^N table is kept.  N = 16 pins the writer and the
+# speller on long vectors and large denominators; N = 20 is opt-in.
+SAMPLED_CONVEX_SIZES = [
+    16,
+    pytest.param(20, marks=pytest.mark.skipif(
+        os.environ.get("COOPVALS_SLOW_TESTS") != "1",
+        reason="set COOPVALS_SLOW_TESTS=1 to run the 20-player golden files",
+    )),
+]
+
+
+@functools.cache
+def _sampled_convex_text(n: int) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["sample", "--filter", "convex", "--n", str(n), "--count", "1",
+                     "--seed", "0", "--format", "json"]) == 0
+    return json.dumps(json.loads(out.getvalue())[0])
+
+
+@pytest.mark.parametrize("command", ["report", "check"])
+@pytest.mark.parametrize("n", SAMPLED_CONVEX_SIZES)
+def test_sampled_convex_game_matches_golden(n, command, tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(_sampled_convex_text(n))
+    capsys.readouterr()
+    assert main([command, "--game", str(path), "--format", "json"]) == 0
+    # Every check row passes, with no witness, so one check file serves
+    # both sizes.
+    name = "sample_convex_seed0_check" if command == "check" else f"sample_convex_n{n}_seed0_report"
+    expected = (GOLDEN / f"{name}.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+# Labels are the only user text that reaches the JSON output: a quote, a
+# backslash, control characters and text past ASCII, astral included.
+AWKWARD_LABELS = ['say "hi"', "back\\slash\u2028", "tab\t\x01\x7f", "naïve 東京 \U0001F600"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["report"],
+    ["compute", "--value", "km"],
+    ["bounds", "--pair", "eansc"],
+    ["check"],
+])
+def test_json_output_with_awkward_labels_is_json_dumps_indent_2(argv, game_file, capsys):
+    doc = {**G6, "players": 4, "labels": AWKWARD_LABELS}
+    doc["worths"] = {**G6["worths"], "4": "1/2", "1,2,3,4": "21/2"}
+    path = game_file(doc)
+    assert main([argv[0], "--game", path, *argv[1:], "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    printed = json.loads(out)
+    assert out == json.dumps(printed, indent=2) + "\n"
+    if argv == ["report"]:
+        assert printed["labels"] == AWKWARD_LABELS
+
+
 @pytest.mark.parametrize(
     "worth",
     [
@@ -640,13 +702,21 @@ def test_text_of_results_and_witnesses_made_by_their_constructors():
     # Built from their fields, which they keep with their pairs over 1: the
     # text is spelled from the pairs, as str() of each field would be.
     r = ValueResult("made", (Fraction(1, 2), 3), Fraction(2, 6), (0, 1), (1, 4))
-    assert _result_doc(r) == {
+    assert _result_docs([r]) == [{
         "value": "made", "allocation": ["1/2", "3"], "lambda": "1/3",
         "lower": ["0", "1"], "upper": ["1", "4"], "route": None,
-    }
+    }]
+    # Several results in one call: a zero weight prints as "0", no weight
+    # as null.
+    at_lower = ValueResult("low", (0, 1), Fraction(0), (0, 1), (2, 2), "r")
+    flat = ValueResult("flat", (Fraction(5, 2),), None, (Fraction(5, 2),), (Fraction(5, 2),))
+    docs = _result_docs([at_lower, r, flat])
+    assert [(d["value"], d["lambda"], d["upper"]) for d in docs] == [
+        ("low", "0", ["2", "2"]), ("made", "1/3", ["1", "4"]), ("flat", None, ["5/2"]),
+    ]
     w = Witness(1, (Fraction(4, 6), 2), (1, Fraction(-1, 3)))
     for made in (w, pickle.loads(pickle.dumps(w))):
         assert made._lhs == (1, (Fraction(2, 3), 2))
         assert made._rhs == (1, (1, Fraction(-1, 3)))
-        assert (made._text("lhs"), made._text("rhs")) == (["2/3", "2"], ["1", "-1/3"])
+        assert _spelled(made._lhs, made._rhs) == [["2/3", "2"], ["1", "-1/3"]]
         assert made == w

@@ -191,6 +191,49 @@ def test_serialise_game_is_json_dumps_indent_2(v, labels):
     assert serialise_game(v) == json.dumps(game_doc(v), indent=2) + "\n"
 
 
+# JSON-like values as the CLI documents hold them, and then some: strings
+# json must escape, ints of any size and sign, bools, None, and lists,
+# tuples and dicts nested in each other, empty ones included.
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**60), 10**60)
+    | st.text() | st.sampled_from(_AWKWARD_LABELS + ("\x00\x1f\x7f\u2028", "/"))
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.text(), max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS, st.sampled_from(["", "  ", "      "]))
+@example([], "")
+@example({}, "  ")
+@example({"a": [], "b": {}, "c": ()}, "")
+@example(list(_AWKWARD_LABELS), "")
+@example({label: [label, 10**40, -(10**40)] for label in _AWKWARD_LABELS}, "  ")
+@example(("x", ["y", None, True, False, 0, -1]), "")
+@example([[[]], [{}], ({"k": ("v",)},)], "    ")
+def test_json_text_is_json_dumps_indent_2(doc, pad):
+    # Nested at a depth, every line after the first is indented by pad more.
+    expected = json.dumps(doc, indent=2)
+    assert gamefile._json_text(doc) == expected
+    assert gamefile._json_text(doc, pad) == expected.replace("\n", "\n" + pad)
+
+
+@pytest.mark.parametrize("doc", [
+    0.5, float("nan"), [1, 2.0], {"a": [-0.0]}, ("x", 1e300),
+    {1: "a"}, {"a": {None: 1}}, {("k",): 1}, {"a": 1, True: 2},
+    Fraction(1, 2), b"bytes", {"s"},
+])
+def test_json_text_refuses_floats_and_keys_that_are_not_str(doc):
+    with pytest.raises(TypeError):
+        gamefile._json_text(doc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(games())
 def test_round_trip_exact(v):

@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 import oracles
 from coopvals import (
     VALUES,
+    BoundOrderViolated,
     CoopvalsError,
     DomainError,
     NotBalanced,
     NotInClass,
+    PreconditionNotMet,
     SamplerConfig,
     TUGame,
     ValueResult,
@@ -82,6 +84,7 @@ from coopvals.game import (
     marginal_contributions,
     zeta,
 )
+from coopvals import game as game_module
 from coopvals.values import _mix
 
 FERMAT = [2 ** (2**k) + 1 for k in range(10)]
@@ -510,7 +513,35 @@ def counted_fractions():
 @example(3, [Fraction(1, FERMAT[9]), Fraction(-2, FERMAT[8])])
 def test_spelled_pairs_are_str_of_their_fractions(L, X):
     x = (L, tuple(X))
-    assert _spelled(x) == [str(c) for c in _fractions(x)]
+    assert _spelled(x) == [[str(c) for c in _fractions(x)]]
+
+
+# A scaled pair: ints over L, L past SCALE_CAP, or Fractions past it, over
+# 1 as _scale gives them or over L != 1 as _share and _affine do.
+_SPELLED_PAIRS = st.tuples(
+    st.integers(1, 40) | st.just(1) | st.sampled_from(FERMAT),
+    st.lists(
+        st.integers(-(10**6), 10**6) | st.sampled_from(FERMAT), max_size=5
+    ).map(tuple),
+) | st.tuples(
+    st.integers(1, 3),
+    st.lists(
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from(FERMAT[8:])),
+        max_size=3,
+    ).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SPELLED_PAIRS, max_size=6))
+@example([])
+@example([(1, ()), (5, ()), (1, (0, -3, 7))])  # empty vectors and L = 1 only
+@example([(6, (3, 4, 0)), (4, (2, -6)), (6, (5,)), (1, (9,))])  # several L
+@example([(FERMAT[9], (FERMAT[9], -2 * FERMAT[9], 3)), (2, (1,))])  # L past the cap
+@example([(3, (1,)), (1, (Fraction(1, FERMAT[9]), 2))])  # one pair of Fractions
+def test_spelled_is_str_of_every_fraction_of_every_pair(pairs):
+    # One call for any number of pairs gives each pair's texts, in order.
+    assert _spelled(*pairs) == [[str(Fraction(c, L)) for c in X] for L, X in pairs]
 
 
 def test_derived_games_build_no_fraction_per_coalition():
@@ -693,6 +724,44 @@ def test_mix_builds_one_fraction_per_component_and_the_weight():
         result = _mix(v, mu, eta, "probe")
     assert result.lam is not None
     assert len(built) <= n + 1
+
+
+@pytest.mark.parametrize("v, refuse, kind, text", [
+    (build_game(2, {0b11: Fraction(-2, 3)}),
+     lambda v: compromise(v, (0, 0), (-1, 1)),
+     BoundOrderViolated, "lower bound exceeds upper bound at player 1: 0 > -1"),
+    (build_game(3, {7: Fraction(7, 2)}),
+     lambda v: compromise(v, (0, 0, 0), (1, 1, 1)),
+     NotBalanced, "v(N) = 7/2 is outside the bound bracket [0, 3]"),
+    (build_game(2, {0b01: 3, 0b10: 3, 0b11: Fraction(9, 2)}), chi,
+     NotBalanced, "v(N) = 9/2 is outside the bound bracket [6, 6]"),
+    # u_N with two players is weakly essential; its dual, with v*(i) = 1, is not.
+    (build_game(2, {0b11: 1}), lambda v: check_axiom("SelfDuality", "chi", v),
+     PreconditionNotMet,
+     "dual game leaves the class of chi: v(N) = 1 is outside the bound bracket [2, 2]"),
+])
+def test_a_refusal_is_spelled_only_when_its_text_is_read(
+    v, refuse, kind, text, monkeypatch
+):
+    # compromise's refusals carry their ints, and a refusal on a derived game
+    # its cause: a refusal that is caught and dropped formats no number.
+    spelled = []
+    monkeypatch.setattr(
+        game_module, "_spelled", lambda *pairs: spelled.append(pairs) or _spelled(*pairs)
+    )
+    with counted_fractions() as built:
+        with pytest.raises(kind) as caught:
+            refuse(v)
+    assert built == [] and spelled == []
+    assert str(caught.value) == text
+    assert str(pickle.loads(pickle.dumps(caught.value))) == text
+
+
+@pytest.mark.parametrize("kind", [BoundOrderViolated, NotBalanced, PreconditionNotMet])
+def test_a_refusal_raised_with_its_text_reads_as_that_text(kind):
+    # The public form: one message, as any DomainError takes it.
+    assert str(kind("some text")) == "some text"
+    assert str(pickle.loads(pickle.dumps(kind("some text")))) == "some text"
 
 
 def _fresh_result(r):
