@@ -3,8 +3,8 @@
 Two error families matter to callers.  ParseError covers malformed game
 files and rational text that is no number ("abc", "1/0"), and is mapped to
 exit code 2 by the command line tool.  DomainError covers violated
-mathematical preconditions (class guards, bound order, degenerate
-denominators) and is mapped to exit code 1.
+mathematical preconditions (bound order, bound-sum brackets, degenerate
+denominators, two class tests) and is mapped to exit code 1.
 """
 
 __all__ = [
@@ -83,7 +83,8 @@ class NotRegularLowerBound(DomainError):
 
 
 class NotInClass(DomainError):
-    """The game lies outside the class on which the operation is defined."""
+    """The game lies outside the class on which the operation is defined;
+    raised only by bounds.is_regular_lower and verify.check_convex_coincidence."""
 
     def __init__(self, class_name: str):
         self.class_name = class_name

@@ -202,6 +202,8 @@ def parse_game_file(data: Union[bytes, str]) -> TUGame:
         )
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("malformed JSON: nested too deeply") from None
 
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")

@@ -15,14 +15,15 @@ gamma_i = mu_i + (v(N) - sum(mu)) / n.  A UBC value starts from a
 translation covariant upper bound eta and pairs it with the derived
 mu^eta.  The named values are tau, chi, Gately, CIS, PANSC, EANSC, the
 Egalitarian value, and the KM value; each reports the bound vectors it
-used.  tau, chi, CIS, Egalitarian and KM are compromise of their
-AXIOM_PAIRS pair, so each refuses a game that is not bound-balanced for it
-by naming the inequality that failed; Gately and PANSC keep their guards.
+used.  Each refuses a game by naming the inequality of its pair that
+failed: tau, chi, CIS, Egalitarian, KM and both constructions are
+compromise of their pair, and Gately and PANSC, with wider domains, check
+their pair's order or bracket themselves.
 
-The functions here only compute: they guard their inputs and trust the
+The functions here only compute: they check their inputs and trust the
 registry flags, and each named value is computed once per game and read
 back from the game's memo after that.  Bound vectors come in as the scaled
-pairs (L, X) of their functionals, and the guards compare those ints.
+pairs (L, X) of their functionals, and the checks compare those ints.
 Every weight and allocation is formed by one step, _mix, in ints.  The
 result keeps the pairs: the allocation's, which the verification suite
 reads, lam's (num, den), and those of the two bounds.  Its Fraction
@@ -47,18 +48,15 @@ from .errors import (
     BoundOrderViolated,
     DegenerateBounds,
     NotBalanced,
-    NotInClass,
     NotRegularLowerBound,
 )
 from .game import (
     TUGame,
-    _at_most,
     _common,
     _first_failure,
     _fractions,
     _Scaled,
     _scaled_vector,
-    _total,
     _vector,
     _Views,
     in_class,
@@ -204,15 +202,14 @@ def lbc_value(
 ) -> ValueResult:
     """The compromise value built from a regular lower bound.
 
-    Pairs mu with eta^mu, which gives gamma_i = mu_i + (v(N) - sum(mu)) / n.
+    Pairs mu with eta^mu, which gives gamma_i = mu_i + (v(N) - sum(mu)) / n,
+    and refuses a game outside B_l, sum(mu) > v(N), as mu_1 > eta^mu_1.
     Regularity is taken from the functional's is_regular_lower flag.
     """
     fn = functional(mu_id)
     if fn.is_regular_lower is not True:
         raise NotRegularLowerBound(f"{fn.id} is not flagged as a regular lower bound")
     mu = fn._scaled(v)
-    if not _at_most(_total(mu), v._scaled_total):
-        raise NotInClass(f"B_l({fn.id})")
     eta = bounds._eta_from(v, mu)
     return compromise(v, mu, eta, value_id=value_id or f"lbc:{fn.id}")
 
@@ -225,14 +222,11 @@ def ubc_value(
 ) -> ValueResult:
     """The compromise value built from a translation covariant upper bound.
 
-    Pairs eta with mu^eta.  NotInClass signals some mu^eta_i > eta_i, i.e. some
-    v(S) > eta(S); NotBalanced signals sum(mu^eta) > v(N): the game lies
-    outside the strong or the proper upper-bound class."""
+    Pairs eta with mu^eta.  BoundOrderViolated signals some mu^eta_i >
+    eta_i, i.e. some v(S) > eta(S); NotBalanced signals sum(mu^eta) > v(N):
+    the game lies outside the strong or the proper upper-bound class."""
     fn = functional(eta_id)
-    mu = bounds._mu_from_upper(v, fn)
-    eta = fn._scaled(v)
-    if not _at_most(mu, eta):
-        raise NotInClass(f"B_u({fn.id})")
+    mu, eta = bounds._mu_from_upper(v, fn), fn._scaled(v)
     return compromise(v, mu, eta, value_id=value_id or f"ubc:{fn.id}")
 
 
@@ -260,24 +254,25 @@ def chi(v: TUGame) -> ValueResult:
 def gately(v: TUGame) -> ValueResult:
     """The compromise of individual worths and marginal contributions.
 
-    Defined on essential games with sum(M - nu) > 0 or nu = M.  The formula
-    is evaluated even where some nu_i exceeds M_i; the bracketed Gately
-    value, which refuses such games, is compromise(v, individual_worths(v),
-    marginal_contributions(v), value_id="gately").
+    Defined on essential games, sum(nu) <= v(N) <= sum(M), with sum(M - nu)
+    > 0 or nu = M.  The formula is evaluated even where some nu_i exceeds
+    M_i; the bracketed Gately value, which refuses such games, is compromise(v,
+    individual_worths(v), marginal_contributions(v), value_id="gately").
     """
     return v.remember("gately", lambda: _gately(v))
 
 
 def _gately(v: TUGame) -> ValueResult:
-    if not in_class(v, "essential"):
-        raise NotInClass("essential")
-    # Both over the game's own denominator, so the ints compare directly.
-    nu, M = v._singletons, v._marginals
-    if nu[1] != M[1] and sum(M[1]) == sum(nu[1]):
+    # nu, M and v(N) over the game's own L, so the ints compare directly.
+    (L, nu), (_, M) = v._singletons, v._marginals
+    vN, s_nu, s_M = v.scaled[1][-1], sum(nu), sum(M)
+    if not s_nu <= vN <= s_M:
+        raise NotBalanced(L, vN, s_nu, s_M)
+    if nu != M and s_M == s_nu:
         raise DegenerateBounds(
             "sum(M - nu) = 0 with nu != M leaves the formula undefined"
         )
-    return _mix(v, nu, M, "gately")
+    return _mix(v, v._singletons, v._marginals, "gately")
 
 
 def cis(v: TUGame) -> ValueResult:
@@ -288,31 +283,29 @@ def cis(v: TUGame) -> ValueResult:
 def pansc(v: TUGame) -> ValueResult:
     """PANSC_i = (M_i / sum_j M_j) * v(N).
 
-    Guards: v(N) >= 0 and M >= 0 componentwise, so that the zero vector and
-    M are ordered bounds; sum(M) = 0 is accepted only for v(N) = 0.  The
-    proportional formula itself is evaluated even when v(N) > sum(M); the
-    reported lam = v(N)/sum(M) then exceeds 1 and the result agrees with
-    the bound-pair engine exactly on the bracketed subclass.
+    Defined where M >= 0, so that (0, M) is an ordered pair, and v(N) >= 0;
+    sum(M) = 0 is accepted only for v(N) = 0.  The proportional formula
+    itself is evaluated even when v(N) > sum(M); the reported lam =
+    v(N)/sum(M) then exceeds 1 and the result agrees with the bound-pair
+    engine exactly on the bracketed subclass.
     """
     return v.remember("pansc", lambda: _pansc(v))
 
 
 def _pansc(v: TUGame) -> ValueResult:
-    # Signs only, so the ints over the game's denominator L > 0 will do.
+    # compromise's checks on (0, M), over the game's own L.  After the order
+    # check M >= 0, so [0, sum(M)] is a bracket and sum(M) = 0 only for M = 0.
     L, M = v._marginals
+    zero = (L, (0,) * v.n)
+    i = _first_failure(zero, v._marginals, le)
+    if i is not None:
+        raise BoundOrderViolated(i, L, 0, M[i])
     vN = v.scaled[1][-1]
     if vN < 0:
-        raise NotInClass("B_l(ZeroLower)")
-    for i in range(v.n):
-        if M[i] < 0:
-            raise BoundOrderViolated(
-                f"marginal contribution of player {i + 1} is negative: "
-                f"{Fraction(M[i], L)}"
-            )
-    # M >= 0 here, so sum(M) = 0 exactly when M = 0.
+        raise NotBalanced(L, vN, 0, sum(M))
     if vN != 0 and not any(M):
         raise DegenerateBounds("sum(M) = 0 cannot pay out v(N) != 0")
-    return _mix(v, (1, (0,) * v.n), v._marginals, "pansc")
+    return _mix(v, zero, v._marginals, "pansc")
 
 
 def egalitarian(v: TUGame) -> ValueResult:

@@ -612,7 +612,7 @@ def run_suite_on_games(
         checks.append(_tally(
             f"axiom:{prop}:{vid}", applies,
             lambda v: check_axiom(prop, vid, mu_fn.shifted(v)).witness,
-            (PreconditionNotMet, NotInClass, TooFewPlayers),
+            (PreconditionNotMet, TooFewPlayers),
         ))
 
     # Every game's probe is drawn, so the stream does not depend on classes;

@@ -91,7 +91,7 @@ def test_report_table(game_file, capsys):
     assert lines[2].startswith("classes: monotonic=true, superadditive=true")
     body = "\n".join(lines)
     assert "tau: lower bound exceeds upper bound at player 1: 4 > 2" in body
-    assert "gately: not applicable: essential" in body
+    assert "gately: v(N) = 8 is outside the bound bracket [4, 6]" in body
     assert (
         "km: 27/11 27/11 34/11 (approx 2.45455 2.45455 3.09091) "
         "lambda=4/11 lower=[1 1 2] upper=[5 5 5]" in body

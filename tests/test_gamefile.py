@@ -113,6 +113,24 @@ def test_labels_validation():
         parse_game_file(doc(players=2, labels="ab", worths={}))
 
 
+_DEEP = "[" * 10_000 + "]" * 10_000
+
+
+@pytest.mark.parametrize("text", [
+    '{"players": 2, "labels": ' + _DEEP + ', "worths": {}}', _DEEP,
+], ids=["labels", "top level"])
+def test_a_file_nested_too_deeply_is_a_parse_error(tmp_path, capsys, text):
+    # json.loads gives up past the recursion limit; the CLI exits 2 as for
+    # any malformed JSON, with no traceback.
+    with pytest.raises(ParseError, match="^malformed JSON: nested too deeply$"):
+        parse_game_file(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["report", "--game", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed JSON")
+
+
 def test_worth_literals():
     v = parse_game_file(
         doc(players=2, worths={"1": "7/2", "2": 0.1, "1,2": "2.5"})

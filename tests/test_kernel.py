@@ -24,7 +24,6 @@ from coopvals import (
     CoopvalsError,
     DomainError,
     NotBalanced,
-    NotInClass,
     PreconditionNotMet,
     SamplerConfig,
     TUGame,
@@ -38,6 +37,7 @@ from coopvals import (
     compromise,
     dual,
     eansc,
+    gately,
     is_strongly_upper_bounded,
     is_regular_lower,
     kikuta_lower,
@@ -45,6 +45,7 @@ from coopvals import (
     lbc_value,
     membership,
     milnor_upper,
+    pansc,
     run_suite,
     sample_games,
     subtract_allocation,
@@ -307,7 +308,7 @@ def test_bound_kernels_match_oracles(v, data):
         # vector, so that one reaches the NotBalanced branch often.
         upper = BoundFunctional("Drawn", lambda game, eta=eta: eta, True)
         if not oracles.is_strongly_upper_bounded(table, keyed):
-            with pytest.raises(NotInClass):
+            with pytest.raises(BoundOrderViolated):
                 ubc_value(v, upper)
         elif sum(derived.values()) > v.total:
             with pytest.raises(NotBalanced):
@@ -739,11 +740,26 @@ def test_mix_builds_one_fraction_per_component_and_the_weight():
     (build_game(2, {0b11: 1}), lambda v: check_axiom("SelfDuality", "chi", v),
      PreconditionNotMet,
      "dual game leaves the class of chi: v(N) = 1 is outside the bound bracket [2, 2]"),
+    # sum(nu) = 5/2 > v(N) = 2, so nu_1 = 3/2 > eta^nu_1 = 3/2 + (2 - 5/2).
+    (build_game(2, {0b01: Fraction(3, 2), 0b10: 1, 0b11: 2}),
+     lambda v: lbc_value(v, "IndividualWorths"),
+     BoundOrderViolated, "lower bound exceeds upper bound at player 1: 3/2 > 1"),
+    # v(12) = 11 exceeds eta'(12) = 10.
+    (build_game(3, {1: 1, 2: 1, 4: 2, 3: 11, 5: 6, 6: 6, 7: 8}),
+     lambda v: ubc_value(v, "EtaPrime"),
+     BoundOrderViolated, "lower bound exceeds upper bound at player 1: 6 > 5"),
+    (build_game(2, {0b01: Fraction(5, 2), 0b10: 2, 0b11: 3}), gately,
+     NotBalanced, "v(N) = 3 is outside the bound bracket [9/2, 3/2]"),
+    (build_game(1, {0b1: Fraction(-3, 2)}), pansc,
+     BoundOrderViolated, "lower bound exceeds upper bound at player 1: 0 > -3/2"),
+    # M = (1/2, 1) >= 0 and v(N) < 0.
+    (build_game(2, {0b01: -2, 0b10: Fraction(-3, 2), 0b11: -1}), pansc,
+     NotBalanced, "v(N) = -1 is outside the bound bracket [0, 3/2]"),
 ])
 def test_a_refusal_is_spelled_only_when_its_text_is_read(
     v, refuse, kind, text, monkeypatch
 ):
-    # compromise's refusals carry their ints, and a refusal on a derived game
+    # Every value's refusals carry their ints, and a refusal on a derived game
     # its cause: a refusal that is caught and dropped formats no number.
     spelled = []
     monkeypatch.setattr(

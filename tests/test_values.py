@@ -17,7 +17,6 @@ from coopvals import (
     LBC_FAMILY,
     NonCovariantUpperBound,
     NotBalanced,
-    NotInClass,
     NotRegularLowerBound,
     REGISTRY,
     SamplerConfig,
@@ -101,8 +100,10 @@ def test_ubc_value_family():
 def test_ubc_value_guards(g6):
     with pytest.raises(NonCovariantUpperBound):
         ubc_value(g6, "EtaTrivial")
-    with pytest.raises(NotInClass):
+    # v(12) = 11 exceeds eta'(12) = 10, so mu^eta_1 = 6 > eta'_1 = 5.
+    with pytest.raises(BoundOrderViolated) as err:
         ubc_value(g_a(11), "EtaPrime")
+    assert str(err.value) == "lower bound exceeds upper bound at player 1: 6 > 5"
 
 
 def test_tau_on_worked_games(g2, g6):
@@ -164,19 +165,28 @@ def test_gately_worked_and_guards(g4, zero3):
     )
     with pytest.raises(DegenerateBounds):
         gately(degenerate)
+    # sum(nu) = 4 > v(N) = 3: not essential, so outside [sum(nu), sum(M)].
     inessential = build_game(2, {0b01: 2, 0b10: 2, 0b11: 3})
-    with pytest.raises(NotInClass):
+    with pytest.raises(NotBalanced) as err:
         gately(inessential)
+    assert str(err.value) == "v(N) = 3 is outside the bound bracket [4, 2]"
 
 
 def test_pansc_worked_and_guards(g8):
     r = pansc(g8)
     assert r.allocation == (4, 4, 0)
     assert r.lam == 2
-    with pytest.raises(NotInClass):
+    # M = (-1, -1): the order of (0, M) is checked before the bracket.
+    with pytest.raises(BoundOrderViolated) as err:
         pansc(build_game(2, {0b11: -1}))
-    with pytest.raises(BoundOrderViolated):
+    assert str(err.value) == "lower bound exceeds upper bound at player 1: 0 > -1"
+    with pytest.raises(BoundOrderViolated) as err:
         pansc(build_game(2, {0b01: 2, 0b11: 1}))
+    assert str(err.value) == "lower bound exceeds upper bound at player 2: 0 > -1"
+    # M = (0, 0) >= 0 and v(N) < 0.
+    with pytest.raises(NotBalanced) as err:
+        pansc(build_game(2, {0b01: -1, 0b10: -1, 0b11: -1}))
+    assert str(err.value) == "v(N) = -1 is outside the bound bracket [0, 0]"
     with pytest.raises(DegenerateBounds):
         pansc(build_game(2, {0b01: 1, 0b10: 1, 0b11: 1}))
     assert pansc(build_game(2, {})).allocation == (0, 0)
@@ -389,10 +399,15 @@ def test_lbc_closed_form_and_regularity(v):
         if fn.is_regular_lower is not True:
             continue
         try:
-            r = lbc_value(v, fn)
-        except (NotInClass, TooFewPlayers):
+            mu = fn(v)
+        except TooFewPlayers:
             continue
-        mu = fn(v)
+        # Outside B_l, sum(mu) > v(N), exactly when mu_1 > eta^mu_1.
+        if sum(mu) > v.total:
+            with pytest.raises(BoundOrderViolated):
+                lbc_value(v, fn)
+            continue
+        r = lbc_value(v, fn)
         residual = (v.total - sum(mu)) / v.n
         assert r.allocation == tuple(m + residual for m in mu), fn.id
         assert fn(subtract_allocation(v, mu)) == (0,) * v.n, fn.id
