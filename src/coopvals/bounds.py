@@ -38,10 +38,13 @@ per game gives both the Kikuta and the Milnor vector: each player's
 marginal contributions are listed once and their min and max both kept in
 the game's memo, so kikuta_lower and milnor_upper on one game cost one
 pass over the table.  The pass that decides the monotonic and convex
-classes lists the same contributions and keeps the same two pairs, so on
-a game classified first (as `report` and `check --game` do) the bounds
-cost no pass of their own; _extreme_marginals sweeps only a game whose
-class was never asked for.
+classes keeps the same two pairs: on a game that the Harsanyi dividend
+certificate shows convex they are the singleton and marginal vectors,
+read with no list, and on any other game (a non-convex game, or a convex
+one with a negative dividend, such as a bankruptcy game) the walk lists
+the same contributions.  So on a game classified first (as `report` and
+`check --game` do) the bounds cost no pass of their own;
+_extreme_marginals sweeps only a game whose class was never asked for.
 
 The functionals of this module evaluate to scaled pairs (L, X), as the
 game sweeps give them, and a BoundFunctional keeps that pair per game

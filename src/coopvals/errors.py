@@ -111,7 +111,9 @@ class BoundOrderViolated(DomainError):
 
 class NotBalanced(DomainError):
     """v(N) lies outside the bracket between the bound sums; raised as (L,
-    total, low, high), v(N) = total / L, and spelled only if read."""
+    total, low, high), v(N) = total / L, and spelled only if read.  An empty
+    bracket, low > high (Gately's, where some nu_i > M_i), is not printed:
+    the text names each side that fails instead."""
 
     def __str__(self) -> str:
         if len(self.args) != 4:  # raised with its text
@@ -119,7 +121,13 @@ class NotBalanced(DomainError):
         from .game import _spelled
 
         [[total, low, high]] = _spelled((self.args[0], self.args[1:]))
-        return f"v(N) = {total} is outside the bound bracket [{low}, {high}]"
+        _, V, s_low, s_high = self.args
+        if s_low <= s_high:
+            return f"v(N) = {total} is outside the bound bracket [{low}, {high}]"
+        sides = [f"below the lower bound sum {low}"] if V < s_low else []
+        if V > s_high:
+            sides.append(f"above the upper bound sum {high}")
+        return f"v(N) = {total} is " + " and ".join(sides)
 
 
 class DegenerateBounds(DomainError):

@@ -18,10 +18,11 @@ as Fractions) instead, and the same code runs on the Fractions.
 TUGame.worths, the Fraction table, is a view built on first use.  There
 is no floating point here.
 
-Every per-player pass over a table (zeta, the marginal sweeps, mu^x)
-splits it into its pairs (S + i, S) with the slice pairs of _slices, the
-one statement of that geometry; _above says where the players sit in a
-marginal list that joins those slices.
+Every per-player pass over a table (zeta, the marginal sweeps, the
+dividend certificate of convexity, mu^x) splits it into its pairs (S + i,
+S) with the slice pairs of _slices, the one statement of that geometry;
+_above says where the players sit in a marginal list that joins those
+slices.
 
 Vectors are scaled the same way.  A scaled vector is a pair (L, X) of a
 positive int L and a tuple X with X[i] = L * x_i, as ints, or (1, the
@@ -47,7 +48,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from math import gcd, lcm
 from operator import add, eq, floordiv, ge, le, mul, sub
 from typing import (
@@ -841,22 +842,56 @@ def _extreme_marginals(v: TUGame) -> Tuple[_Scaled, _Scaled]:
     return v.remember("extreme marginals", sweep)
 
 
-def _marginal_pass(v: TUGame) -> Tuple[bool, bool]:
-    """(monotonic, convex) from one marginal list per player; both are kept,
-    and so are the Kikuta and Milnor pairs of _extreme_marginals, the min
-    and max of the same lists.
+def _dividends_nonnegative(W: Sequence) -> bool:
+    """Whether every Harsanyi dividend of a coalition of two or more players
+    is nonnegative, which makes the game convex: it is then an additive game
+    plus a nonnegative sum of unanimity games.  Block by block in the top
+    player k: k's marginal list W[T + k] - W[T] over the coalitions T of the
+    players below k, Moebius-transformed in place (zeta's step with sub),
+    holds the dividends of the T + k, entry 0 that of {k}.  So a game with a
+    negative dividend stops at the first block that holds one."""
+    for k in range(1, len(W).bit_length() - 1):
+        size = 1 << k
+        block = list(map(sub, W[size:2 * size], W[:size]))
+        for i in range(k):
+            for up, down in _slices(size, i):
+                block[up] = map(sub, block[up], block[down])
+        if min(islice(block, 1, None)) < 0:
+            return False
+    return True
 
-    Monotonicity checks that no marginal contribution to a nonempty
-    coalition is negative, which chains to all nonempty subset pairs.
-    Convexity checks that each player's marginal contributions are
-    nondecreasing in every other player, in O(n^2 * 2^n).  Player i's list
-    is checked against the players j > i; the players j < i were checked
-    against i, which is the same condition.  So while every check so far
-    has held, i's list is nondecreasing in every other player: its min and
-    max are its first and last entries, v({i}) and v(N) - v(N-i), and its
-    least entry over nonempty S is at a singleton, at a position 1 << b.
+
+def _marginal_pass(v: TUGame) -> Tuple[bool, bool]:
+    """(monotonic, convex); both are kept, and so are the Kikuta and Milnor
+    pairs of _extreme_marginals.
+
+    Convexity is first decided by _dividends_nonnegative, in O(n * 2^n).
+    Every game it certifies is convex; a convex game with a negative
+    dividend (a bankruptcy game, say) or a game that is not convex falls
+    back to the walk below.
+
+    The walk lists each player's marginal contributions once.  Monotonicity
+    checks that no marginal contribution to a nonempty coalition is
+    negative, which chains to all nonempty subset pairs.  Convexity checks
+    that each player's marginal contributions are nondecreasing in every
+    other player, in O(n^2 * 2^n).  Player i's list is checked against the
+    players j > i; the players j < i were checked against i, which is the
+    same condition.  So while every check so far has held, i's list is
+    nondecreasing in every other player: its min and max are its first and
+    last entries, v({i}) and v(N) - v(N-i), and its least entry over
+    nonempty S is at a singleton, at a position 1 << b.  A certified game
+    is read the same way with no list: its Kikuta and Milnor pairs are the
+    singleton and marginal vectors, and it is monotonic iff v({i, j}) >=
+    v({j}) for every two players.
     """
     L, W = v.scaled
+    memo = v.memo
+    if _dividends_nonnegative(W):
+        units = [1 << i for i in range(v.n)]
+        monotonic = all(W[a | b] >= W[b] for a in units for b in units if a != b)
+        memo["class", "monotonic"], memo["class", "convex"] = monotonic, True
+        memo["extreme marginals"] = v._singletons, v._marginals
+        return monotonic, True
     lows, highs = [], []
     monotonic = convex = True
     for i in range(v.n):
@@ -871,7 +906,6 @@ def _marginal_pass(v: TUGame) -> Tuple[bool, bool]:
             monotonic = min(singletons if convex else marginal[1:], default=0) >= 0
         lows.append(marginal[0] if convex else min(marginal))
         highs.append(marginal[-1] if convex else max(marginal))
-    memo = v.memo
     memo["class", "monotonic"], memo["class", "convex"] = monotonic, convex
     memo["extreme marginals"] = (L, tuple(lows)), (L, tuple(highs))
     return monotonic, convex
@@ -879,12 +913,20 @@ def _marginal_pass(v: TUGame) -> Tuple[bool, bool]:
 
 def _superadditive(v: TUGame) -> bool:
     # Convex games are superadditive (v(S + T) + v(empty) >= v(S) + v(T) for
-    # disjoint S, T), so only the others need the O(3^n) sweep, which visits
-    # each split of each coalition into two nonempty parts once.
+    # disjoint S, T), so only the others need the O(3^n) walk over the
+    # splits of each coalition.  The pairs go first, where most games that
+    # fail do; then only the coalitions that _short_of_need leaves.
     if in_class(v, "convex"):
         return True
     _, W = v.scaled
-    for U in range(3, v.grand + 1):
+    pairs = [1 << a | 1 << b for b in range(v.n) for a in range(b)]
+    return _splits_hold(W, pairs) and _splits_hold(W, _short_of_need(W))
+
+
+def _splits_hold(W: Sequence, coalitions: Iterable[int]) -> bool:
+    """Whether W[U] >= W[S] + W[U - S] for every split of each U of
+    coalitions into two nonempty parts, visiting each split once."""
+    for U in coalitions:
         low = U & -U
         rest = S = U ^ low
         # low + S and rest - S split U, for S over the proper subsets of rest.
@@ -893,6 +935,24 @@ def _superadditive(v: TUGame) -> bool:
             if W[low | S] + W[rest ^ S] > W[U]:
                 return False
     return True
+
+
+def _short_of_need(W: Sequence) -> list:
+    """The coalitions U of three or more players, in increasing order, with
+    W[U] < need[|U|]: need[s] is the max over 1 <= k < s of top[k] +
+    top[s - k], for top[k] the largest worth of a coalition of k players.
+    A split of U into parts of k and s - k players has worths of at most
+    top[k] and top[s - k], so every split of any other U holds."""
+    n = len(W).bit_length() - 1
+    sizes = additive_table([1] * n)
+    top = [W[(1 << k) - 1] for k in range(n + 1)]
+    for s, w in zip(sizes, W):
+        if w > top[s]:
+            top[s] = w
+    need = [None] * 3 + [
+        max(top[k] + top[s - k] for k in range(1, s // 2 + 1)) for s in range(3, n + 1)
+    ]
+    return [U for U, s, w in zip(count(), sizes, W) if s > 2 and w < need[s]]
 
 
 _CLASS_TESTS: dict[str, Callable[[TUGame], bool]] = {

@@ -386,6 +386,10 @@ REJECTION_FILTERS = (
             for value in ("tau", "chi", "gately", "cis", "pansc", "eansc", "egal", "km")
         ),
         (["compute", "--game", DENSE8, "--value", "tau"], "compute_dense8_tau.txt"),
+        # Bankruptcy (claims 1..8, estate 30): convex with a negative Harsanyi
+        # dividend, so the walk decides convexity, not the certificate.
+        (["report", "--game", str(GOLDEN / "bankruptcy8_game.json"), "--format", "json"],
+         "bankruptcy8_report.json"),
     ],
 )
 def test_output_matches_golden(argv, golden, capsys):

@@ -22,6 +22,17 @@ contributions in v* are those in v, over the complementary coalitions, so
 Kikuta(v*) = Kikuta(v) and Milnor(v*) = Milnor(v); v*'s singleton worths
 are M(v) and M(v*) is nu(v); and KM, the one self-dual value, has
 KM(v*) = KM(v).  These run to n = 12, past the oracles' n = 10.
+
+Strategic equivalence.  The game a.v + x, for a > 0 and an additive x, has
+the marginal contributions and splits of v scaled by a and shifted by x, so
+it is convex, or superadditive, exactly when v is.  Also to n = 12.
+
+The certificates.  Convexity is first decided by the Harsanyi dividends
+and superadditivity by the size profile of the worths; each falls back to
+a walk.  Both verdicts, and the Kikuta and Milnor pairs that the marginal
+pass keeps, are compared with the walks alone, the certificates switched
+off, on every sampler filter and on the majority, weighted-majority,
+unanimity and bankruptcy families, to n = 10.
 """
 
 import os
@@ -48,10 +59,18 @@ from coopvals import (
     marginal_contributions,
     milnor_upper,
     sample_games,
+    transform,
+    unanimity_game,
 )
+from coopvals import game
 from coopvals.bounds import MU_FROM_MILNOR
-from coopvals.game import additive_game, additive_table
+from coopvals.game import (
+    _dividends_nonnegative, _marginal_pass, _superadditive, additive_game,
+    additive_table, in_class,
+)
 from coopvals.gamefile import parse_game_file, serialise_game
+from coopvals.verify import CLASS_FILTERS
+from test_kernel import _fermat_convex
 
 FUNCTIONALS = (*REGISTRY.values(), MU_FROM_MILNOR)
 FERMAT = [2 ** (2**k) + 1 for k in range(10)]
@@ -88,11 +107,14 @@ def _outcome(f, v):
         return type(exc)
 
 
-def _convex_games(n_max):
+def _sampled_games(n_max, filters=CLASS_FILTERS):
+    """One game of up to n_max players from the sampler, under one of the
+    class filters."""
     return st.builds(
-        lambda n, seed: sample_games(SamplerConfig(
-            n_min=n, n_max=n, class_filter="convex", count=1, seed=seed
+        lambda f, n, seed: sample_games(SamplerConfig(
+            n_min=n, n_max=n, class_filter=f, count=1, seed=seed
         ))[0],
+        st.sampled_from(filters),
         st.integers(1, n_max),
         st.integers(0, 2**32),
     )
@@ -103,7 +125,9 @@ def _with_permutation(v):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(games(n_min=1, n_max=6), _convex_games(6)).flatmap(_with_permutation))
+@given(st.one_of(games(n_min=1, n_max=6), _sampled_games(6, ["convex"])).flatmap(
+    _with_permutation
+))
 # Fermat denominators: the common denominator passes SCALE_CAP, so every
 # sweep runs on the Fractions.
 @example((
@@ -222,11 +246,11 @@ def test_symmetric_games_split_the_grand_worth_equally(by_size):
 
 
 @st.composite
-def duality_games(draw):
-    """A game of 1 to 12 players: (w . 1_S)^2 / d + x(S), which is convex;
-    the same with one worth moved; or arbitrary worths.  Up to n = 8 the
-    denominators may be Fermat numbers, whose lcm passes SCALE_CAP."""
-    n = draw(st.integers(1, 12))
+def duality_games(draw, n_max=12):
+    """A game of 1 to n_max players: (w . 1_S)^2 / d + x(S), which is
+    convex; the same with one worth moved; or arbitrary worths.  Up to n = 8
+    the denominators may be Fermat numbers, whose lcm passes SCALE_CAP."""
+    n = draw(st.integers(1, n_max))
     kind = draw(st.sampled_from(["convex", "nudged", "arbitrary"]))
     fermat = n <= 8 and draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -260,6 +284,76 @@ def test_duality_laws_past_the_oracles(v, classified):
     assert individual_worths(w) == marginal_contributions(v)
     assert marginal_contributions(w) == individual_worths(v)
     assert km(w).allocation == km(v).allocation
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    duality_games().flatmap(lambda v: st.tuples(
+        st.just(v),
+        st.fractions(min_value=Fraction(1, 9), max_value=9).filter(bool),
+        st.lists(small_rationals, min_size=v.n, max_size=v.n),
+    ))
+)
+def test_convexity_and_superadditivity_survive_strategic_equivalence(drawn):
+    v, a, x = drawn
+    w = transform(v, a, x)
+    for name in ("convex", "superadditive"):
+        assert in_class(w, name) == in_class(v, name), name
+
+
+def majority(n: int) -> TUGame:
+    """v(S) = 1 iff S holds more than half of the n players."""
+    return TUGame(n, [int(2 * S.bit_count() > n) for S in range(1 << n)])
+
+
+def weighted_majority(weights, quota: int) -> TUGame:
+    """v(S) = 1 iff the weights of S reach the quota."""
+    return TUGame(len(weights), [int(t >= quota) for t in additive_table(weights)])
+
+
+_FAMILIES = st.one_of(
+    st.integers(1, 10).map(majority),
+    st.lists(st.integers(1, 9), min_size=1, max_size=10).flatmap(
+        lambda w: st.integers(1, sum(w)).map(lambda q: weighted_majority(w, q))
+    ),
+    st.integers(1, 10).flatmap(
+        lambda n: st.integers(1, (1 << n) - 1).map(lambda T: unanimity_game(n, T))
+    ),
+    bankruptcy_problems().map(lambda problem: bankruptcy(*problem)),
+)
+
+
+def _decided(v):
+    """(monotonic, convex), the Kikuta and Milnor pairs that pass keeps, and
+    superadditive, on a copy of v with nothing decided yet."""
+    w = TUGame.from_scaled(v.n, *v.scaled)
+    return _marginal_pass(w), w.memo["extreme marginals"], _superadditive(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_sampled_games(10), _FAMILIES, duality_games(n_max=10)))
+# Past SCALE_CAP, on the Fractions.
+@example(_fermat_convex(3))
+# Convex, with a negative dividend: decided by the walk.
+@example(bankruptcy(30, list(range(1, 9))))
+def test_the_certificates_decide_as_the_walks_alone(v):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(game, "_dividends_nonnegative", lambda W: False)
+        patch.setattr(game, "_short_of_need", lambda W: range(3, len(W)))
+        walked = _decided(v)
+    assert _decided(v) == walked
+
+
+def test_a_convex_game_with_a_negative_dividend_is_convex_through_the_walk():
+    # The dividend of the players with claims 1 to 4 is -1.
+    v = bankruptcy(30, list(range(1, 9)))
+    assert not _dividends_nonnegative(v.scaled[1])
+    assert classify(v).convex
+    # Every convex game that the sampler draws passes the certificate.
+    for u in sample_games(SamplerConfig(
+        n_min=1, n_max=10, class_filter="convex", count=30, seed=5
+    )):
+        assert _dividends_nonnegative(u.scaled[1])
 
 
 def test_bankruptcy_at_sixteen_players_through_the_game_file():

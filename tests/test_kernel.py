@@ -749,7 +749,8 @@ def test_mix_builds_one_fraction_per_component_and_the_weight():
      lambda v: ubc_value(v, "EtaPrime"),
      BoundOrderViolated, "lower bound exceeds upper bound at player 1: 6 > 5"),
     (build_game(2, {0b01: Fraction(5, 2), 0b10: 2, 0b11: 3}), gately,
-     NotBalanced, "v(N) = 3 is outside the bound bracket [9/2, 3/2]"),
+     NotBalanced,
+     "v(N) = 3 is below the lower bound sum 9/2 and above the upper bound sum 3/2"),
     (build_game(1, {0b1: Fraction(-3, 2)}), pansc,
      BoundOrderViolated, "lower bound exceeds upper bound at player 1: 0 > -3/2"),
     # M = (1/2, 1) >= 0 and v(N) < 0.

@@ -165,11 +165,33 @@ def test_gately_worked_and_guards(g4, zero3):
     )
     with pytest.raises(DegenerateBounds):
         gately(degenerate)
-    # sum(nu) = 4 > v(N) = 3: not essential, so outside [sum(nu), sum(M)].
+    # sum(nu) = 4 > v(N) = 3 > sum(M) = 2: not essential, and the bracket
+    # [sum(nu), sum(M)] is empty, so the text names both sides that fail.
     inessential = build_game(2, {0b01: 2, 0b10: 2, 0b11: 3})
     with pytest.raises(NotBalanced) as err:
         gately(inessential)
-    assert str(err.value) == "v(N) = 3 is outside the bound bracket [4, 2]"
+    assert str(err.value) == (
+        "v(N) = 3 is below the lower bound sum 4 and above the upper bound sum 2"
+    )
+
+
+@pytest.mark.parametrize("pairs, text", [
+    # nu = (5, 5, 5), M = (4, 4, 4): v(N) = 10 < sum(M) = 12 < sum(nu) = 15.
+    ({1: 5, 2: 5, 4: 5, 3: 6, 5: 6, 6: 6, 7: 10},
+     "v(N) = 10 is below the lower bound sum 15"),
+    # nu = (1, 1, 1), M = (1/2, 1/2, 1/2): v(N) = 10 > sum(nu) = 3 > sum(M).
+    ({1: 1, 2: 1, 4: 1, 3: Fraction(19, 2), 5: Fraction(19, 2), 6: Fraction(19, 2),
+      7: 10},
+     "v(N) = 10 is above the upper bound sum 3/2"),
+    # A bracket that is not empty is printed, one point included.
+    # nu = M = (1, 1, 1).
+    ({1: 1, 2: 1, 4: 1, 3: 4, 5: 4, 6: 4, 7: 5},
+     "v(N) = 5 is outside the bound bracket [3, 3]"),
+])
+def test_gately_names_the_side_of_the_bracket_that_fails(pairs, text):
+    with pytest.raises(NotBalanced) as err:
+        gately(build_game(3, pairs))
+    assert str(err.value) == text
 
 
 def test_pansc_worked_and_guards(g8):
